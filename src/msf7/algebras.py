@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import KForm, SymmetricMatrix, kernel, scal, signature
+from .exterior import KForm, LinearMap, SymmetricMatrix, kernel, scal, signature
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -402,6 +402,83 @@ def triple_form(t: AlgebraTable, basis_map) -> KForm:
                 if c:
                     terms[(p + 1, q + 1, r + 1)] = c
     return KForm(3, terms)
+
+
+def matrix_in_imaginary_basis(t: AlgebraTable, basis, images) -> LinearMap:
+    """7x7 matrix whose column j holds the coordinates of images[j] in the
+    given 7-element imaginary basis; raises if an image has a unit component."""
+    pinv = LinearMap.from_cols([t.unit().coords] + [b.coords for b in basis]).inverse()
+    cols = []
+    for image in images:
+        c = pinv.apply(image.coords)
+        if c[0] != 0:
+            raise ValueError("map does not preserve the imaginary subspace")
+        cols.append(c[1:])
+    return LinearMap.from_cols(cols)
+
+
+# --- frozen imaginary bases ---------------------------------------------------
+# Chosen so the induced 3-forms reproduce the printed representatives exactly
+# (orbit 8, orbit 5 and its variant, and the orbit-2 alternate's ambient
+# identification).  Elements of the doubled algebras are written as pairs of
+# quaternion coordinates.
+
+_Z = (0, 0, 0, 0)
+_ONE = (1, 0, 0, 0)
+_I = (0, 1, 0, 0)
+_J = (0, 0, 1, 0)
+_K = (0, 0, 0, 1)
+
+
+def _pair(t: AlgebraTable, a, b) -> AlgebraElement:
+    return t.element(list(a) + list(b))
+
+
+def octonion_form_basis() -> list:
+    """Imaginary octonion basis inducing the orbit-8 representative:
+    quaternion imaginary units first, then the doubled copy."""
+    t = build_algebra("O")
+    return [_pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _ONE),
+            _pair(t, _Z, _I), _pair(t, _Z, _J), _pair(t, _Z, _K)]
+
+
+def split_so4_basis() -> list:
+    """Imaginary basis of the quaternion-pair split octonions inducing the
+    orbit-5 representative (fifth element carries a sign the pair product
+    forces)."""
+    t = build_algebra("Osplit")
+    return [_pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _ONE),
+            _pair(t, _Z, (0, -1, 0, 0)), _pair(t, _Z, _J), _pair(t, _Z, _K)]
+
+
+def sl2pair_basis() -> list:
+    """Imaginary basis of the doubled split quaternions matching the
+    coordinates of the orbit-2 alternate representative."""
+    t = build_algebra("Osplit_from_Hsplit")
+    return [_pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _ONE),
+            _pair(t, _Z, _I), _pair(t, _Z, _J), _pair(t, _Z, _K)]
+
+
+def split_octonion_form_basis() -> list:
+    """Imaginary basis of the doubled split quaternions inducing the orbit-5
+    representative, in the published interleaved order."""
+    t = build_algebra("Osplit_from_Hsplit")
+    return [_pair(t, _I, _Z), _pair(t, _Z, _ONE), _pair(t, _Z, _I),
+            _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _J), _pair(t, _Z, _K)]
+
+
+def split_octonion_prime_basis() -> list:
+    """Imaginary basis inducing the orbit-5 variant that equals the six-term
+    orbit-2 alternate plus the volume form of the first three covectors.
+
+    This is the conjugate of the published display list {i, j, k, e, ei, ej,
+    ek} (e the doubling unit, products taken in the algebra): conjugation
+    negates the first four elements and cancels the sign the left products
+    carry on the last three.  Verified exactly against the printed identity.
+    """
+    t = build_algebra("Osplit_from_Hsplit")
+    return [-_pair(t, _I, _Z), -_pair(t, _J, _Z), -_pair(t, _K, _Z), -_pair(t, _Z, _ONE),
+            _pair(t, _Z, _I), _pair(t, _Z, _J), _pair(t, _Z, _K)]
 
 
 def norm_signature(t: AlgebraTable, imaginary_only: bool = False) -> tuple[int, int, int]:

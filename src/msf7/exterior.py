@@ -11,12 +11,18 @@ Main objects:
 * ``KForm``     -- alternating k-form, sparse map {increasing index tuple: coefficient}
 * ``LinearMap`` -- n x n rational matrix, column j = image of basis vector e_j
 * ``wedge``, ``interior``, ``pullback`` -- the exterior-algebra operations
-* ``kernel``    -- exact nullspace basis via fraction-free (Bareiss) elimination
+* ``kernel``, ``rank`` -- exact nullspace basis and rank of a rational matrix
 * ``signature`` -- exact signature of a rational symmetric matrix
+
+``_echelon`` is the single elimination routine: fraction-free (Bareiss)
+row reduction in Python ints.  ``rank``, ``kernel``, determinants of size
+above 3, ``LinearMap.inverse`` and span tests elsewhere in the package are
+all built on it; only ``signature`` (congruence, not row echelon) differs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -33,6 +39,13 @@ def scal(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def json_int(x, what: str = "value") -> int:
+    """A JSON integer taken as is; bools, floats and strings raise TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def vec(*coords, n: int = DIM) -> tuple[Fraction, ...]:
@@ -194,8 +207,8 @@ class KForm:
     @classmethod
     def from_json(cls, data: Mapping, n: int = DIM) -> "KForm":
         try:
-            degree = int(data["degree"])
-            terms = {tuple(int(i) for i in t["idx"]): scal(t["coef"])
+            degree = json_int(data["degree"], "degree")
+            terms = {tuple(json_int(i, "idx entry") for i in t["idx"]): scal(t["coef"])
                      for t in data["terms"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed KForm JSON: {exc}") from exc
@@ -405,10 +418,62 @@ def pullback(g: LinearMap, a: KForm) -> KForm:
     return KForm(k, acc, a.n)
 
 
-# --- exact dense linear algebra helpers -------------------------------------
+# --- exact dense linear algebra: one fraction-free elimination ---------------
+
+def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free row echelon form (Bareiss 1968) of a rational matrix.
+
+    Each row is first scaled by the lcm of its denominators; elimination then
+    runs in Python ints, every division exact.  Returns ``(rows, pivot_cols,
+    swap_sign, row_scale)``: the eliminated integer rows (the first
+    ``len(pivot_cols)`` are the echelon rows), the pivot column of each, the
+    sign of the row permutation, and the product of the row scalings.  For
+    a nonsingular square ``m`` the last pivot is
+    ``swap_sign * row_scale * det(m)``.
+    """
+    a = []
+    row_scale = 1
+    for row in m:
+        row = [x if isinstance(x, int) else scal(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        row_scale *= d
+        a.append([x.numerator * (d // x.denominator) for x in row])
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    pivot_cols: list[int] = []
+    swap_sign = 1
+    prev = 1
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            swap_sign = -swap_sign
+        top = a[r]
+        p = top[c]
+        for i in range(r + 1, nr):
+            row = a[i]
+            h = row[c]
+            if h:
+                # Bareiss update: exact integer division by the previous pivot
+                a[i] = row[:c] + [(p * x - h * y) // prev
+                                  for x, y in zip(row[c:], top[c:])]
+            elif p != prev:
+                a[i] = row[:c] + [p * x // prev for x in row[c:]]
+        prev = p
+        pivot_cols.append(c)
+        r += 1
+    return a, pivot_cols, swap_sign, row_scale
+
 
 def _det(m: list[list[Fraction]]) -> Fraction:
     n = len(m)
+    if n == 0:
+        return Fraction(1)
     if n == 1:
         return m[0][0]
     if n == 2:
@@ -417,134 +482,55 @@ def _det(m: list[list[Fraction]]) -> Fraction:
         return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                for j in range(c, n):
-                    a[r][j] -= f * a[c][j]
-    return det
+    rows, pivot_cols, sign, scale = _echelon(m)
+    if len(pivot_cols) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
 def _invert(m: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Inverse by one elimination of [m | I]; None if m is singular."""
     n = len(m)
-    a = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
-
-
-def _integer_rows(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators row by row (does not change the nullspace)."""
-    out = []
-    for row in m:
-        row = [scal(x) for x in row]
-        lcm = 1
-        for x in row:
-            if x:
-                d = x.denominator
-                lcm = lcm * d // _gcd(lcm, d)
-        out.append([int(x * lcm) for x in row])
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    rows, pivot_cols, _, _ = _echelon([list(row) + [int(i == j) for j in range(n)]
+                                       for i, row in enumerate(m)])
+    if pivot_cols != list(range(n)):
+        return None
+    # back-substitute for last_pivot * m^-1, which is an integer matrix
+    d = rows[n - 1][n - 1] if n else 1
+    y: list[list[int]] = [[]] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        acc = [d * v for v in row[n:]]
+        for j in range(k + 1, n):
+            if row[j]:
+                acc = [s - row[j] * t for s, t in zip(acc, y[j])]
+        y[k] = [s // row[k] for s in acc]
+    return [[Fraction(v, d) for v in row] for row in y]
 
 
 def kernel(m: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Exact basis of {x : m x = 0} via fraction-free (Bareiss) elimination.
-
-    Accepts any rows x cols rational matrix; returns primitive integer-scaled
-    vectors, one per free column.
-    """
-    rows = _integer_rows(m)
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    if nc == 0:
-        return []
-    if nr == 0:
-        return [tuple(scal(1 if j == i else 0) for j in range(nc)) for i in range(nc)]
-
-    a = [row[:] for row in rows]
-    pivots: list[tuple[int, int]] = []  # (row, col) in echelon order
-    prev = 1
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            head = a[i][c]
-            for j in range(c, nc):
-                # Bareiss update: exact integer division by the previous pivot
-                a[i][j] = (a[r][c] * a[i][j] - head * a[r][j]) // prev
-        prev = a[r][c]
-        pivots.append((r, c))
-        r += 1
-        if r == nr:
-            break
-
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(nc) if c not in pivot_cols]
+    """Exact basis of {x : m x = 0}: one primitive integer vector per free
+    column (free columns ascending, first nonzero entry positive)."""
+    rows, pivot_cols, _, _ = _echelon(m)
+    nc = len(rows[0]) if rows else 0
+    # with the free entry set to the last pivot, back substitution stays integral
+    d = rows[len(pivot_cols) - 1][pivot_cols[-1]] if pivot_cols else 1
+    pivots = list(zip(rows, pivot_cols))[::-1]
     basis: list[tuple[Fraction, ...]] = []
-    for fc in free_cols:
-        x = [Fraction(0)] * nc
-        x[fc] = Fraction(1)
-        for (pr, pc) in reversed(pivots):
-            s = sum((a[pr][j] * x[j] for j in range(pc + 1, nc)), Fraction(0))
-            x[pc] = -s / Fraction(a[pr][pc])
-        basis.append(_primitive(x))
+    for fc in sorted(set(range(nc)) - set(pivot_cols)):
+        x = [0] * nc
+        x[fc] = d
+        for row, pc in pivots:
+            x[pc] = -sum(row[j] * x[j] for j in range(pc + 1, nc) if x[j]) // row[pc]
+        g = math.gcd(*x)
+        if next(v for v in x if v) < 0:
+            g = -g
+        basis.append(tuple(Fraction(v // g) for v in x))
     return basis
 
 
-def _primitive(x: list[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a rational vector to a primitive integer vector (first nonzero > 0)."""
-    lcm = 1
-    for v in x:
-        if v:
-            lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in x]
-    g = 0
-    for v in ints:
-        g = _gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    rows = _integer_rows(m)
-    if not rows:
-        return 0
-    return len(rows[0]) - len(kernel(rows))
+    return len(_echelon(m)[1])
 
 
 class SymmetricMatrix:

@@ -106,71 +106,12 @@ def _split_variant_change() -> LinearMap:
     """Invertible map with pullback(map, orbit-5 standard) = orbit-5 prime.
 
     Both sides are induced forms of the split octonions built over the split
-    quaternions, for two different imaginary bases; the matrix expresses one
-    basis in the other's coordinates, with a global sign to absorb the odd
-    degree.
+    quaternions, for two different imaginary bases; the matrix expresses the
+    prime basis in the standard one's coordinates.
     """
-    t = algebras.build_algebra("Osplit_from_Hsplit")
-    b_standard = _PSEUDO_OCT_BASIS(t)
-    b_prime = _PSEUDO_OCT_PRIME_BASIS(t)
-    # coordinates of the prime basis in the standard one
-    express = _lift_inverse(b_standard, t)
-    return LinearMap.from_cols([express(b) for b in b_prime])
-
-
-def _lift_inverse(basis, t):
-    """Return a function expressing imaginary elements in the given 7-element
-    imaginary basis (exact solve)."""
-    rows = [[basis[j].coords[i] for j in range(7)] for i in range(t.dim)]
-
-    def express(x):
-        aug = [row[:] + [x.coords[i]] for i, row in enumerate(rows)]
-        ker = kernel([r[:7] + [-r[7]] for r in aug])
-        for v in ker:
-            if v[7] != 0:
-                return tuple(c / v[7] for c in v[:7])
-        raise ValueError("element not in the span of the basis")
-
-    return express
-
-
-def _PSEUDO_OCT_BASIS(t):
-    """Imaginary basis of the doubled split quaternions inducing the printed
-    orbit-5 representative: (i,0),(0,1),(0,i),(j,0),(k,0),(0,j),(0,k)."""
-    z4 = [0, 0, 0, 0]
-
-    def pair(a, b):
-        return t.element(list(a) + list(b))
-
-    one = [1, 0, 0, 0]
-    i = [0, 1, 0, 0]
-    j = [0, 0, 1, 0]
-    k = [0, 0, 0, 1]
-    return [pair(i, z4), pair(z4, one), pair(z4, i),
-            pair(j, z4), pair(k, z4), pair(z4, j), pair(z4, k)]
-
-
-def _PSEUDO_OCT_PRIME_BASIS(t):
-    """Imaginary basis inducing the orbit-5 variant that equals the six-term
-    orbit-2 alternate plus the volume form of the first three covectors.
-
-    This is the conjugate of the published display list {i, j, k, e, ei, ej,
-    ek} (e the doubling unit, products taken in the algebra): conjugation
-    negates the first four elements and cancels the sign the left products
-    carry on the last three.  Verified exactly against the printed identity.
-    """
-    z4 = [0, 0, 0, 0]
-
-    def pair(a, b):
-        return t.element(list(a) + list(b))
-
-    one = [1, 0, 0, 0]
-    i = [0, 1, 0, 0]
-    j = [0, 0, 1, 0]
-    k = [0, 0, 0, 1]
-    basis = [-pair(i, z4), -pair(j, z4), -pair(k, z4), -pair(z4, one),
-             pair(z4, i), pair(z4, j), pair(z4, k)]
-    return basis
+    return algebras.matrix_in_imaginary_basis(
+        algebras.build_algebra("Osplit_from_Hsplit"),
+        algebras.split_octonion_form_basis(), algebras.split_octonion_prime_basis())
 
 
 _CANONICAL_CACHE: dict[tuple[int, str], CanonicalForm] = {}
@@ -281,12 +222,12 @@ def stabilizer_algebra(w: KForm) -> list[LinearMap]:
 
 
 def stabilizer_dim(w: KForm) -> int:
-    return len(kernel(_stabilizer_system(w)))
+    return DIM * DIM - rank(_stabilizer_system(w))
 
 
 def compact_dim(w: KForm) -> int:
     """Dimension of the stabilizer algebra intersected with the antisymmetric
-    matrices, via one joint kernel computation.  Only meaningful at the
+    matrices, via one joint rank computation.  Only meaningful at the
     preferred representatives (the intersection is basis dependent)."""
     rows = _stabilizer_system(w)
     for m in range(DIM):
@@ -295,7 +236,7 @@ def compact_dim(w: KForm) -> int:
             row[m * DIM + p] += 1
             row[p * DIM + m] += 1
             rows.append(row)
-    return len(kernel(rows))
+    return DIM * DIM - rank(rows)
 
 
 def lambda5_rank(w: KForm) -> int:

@@ -21,8 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebras
-from .algebras import AlgebraTable, build_algebra, conjugate, multiply, norm
-from .exterior import DIM, KForm, LinearMap, kernel, pullback, scal, wedge
+from .algebras import (
+    AlgebraTable,
+    build_algebra,
+    conjugate,
+    matrix_in_imaginary_basis,
+    multiply,
+    norm,
+    octonion_form_basis,
+    sl2pair_basis,
+    split_octonion_form_basis,  # noqa: F401  (re-exported)
+    split_so4_basis,
+)
+from .exterior import KForm, LinearMap, _echelon, pullback, scal, wedge
 from .forms7 import BASIS_MAP_6, BASIS_MAP_7, canonical, classify, compact_dim
 
 _F0 = Fraction(0)
@@ -93,75 +104,6 @@ def _det2(m) -> Fraction:
     return scal(m[0][0]) * scal(m[1][1]) - scal(m[0][1]) * scal(m[1][0])
 
 
-# --- expressing algebra maps as 7x7 matrices ----------------------------------
-
-def _basis_matrix(t: AlgebraTable, basis) -> LinearMap:
-    cols = [list(t.unit().coords)] + [list(b.coords) for b in basis]
-    return LinearMap.from_cols(cols)
-
-
-def _matrix_in_imaginary_basis(t: AlgebraTable, basis, fn) -> LinearMap:
-    """7x7 matrix of an algebra-linear map in the given 7-element imaginary
-    basis; raises if an image picks up a unit component."""
-    p = _basis_matrix(t, basis)
-    pinv = p.inverse()
-    cols = []
-    for b in basis:
-        image = fn(b)
-        c = pinv.apply(image.coords)
-        if c[0] != 0:
-            raise ValueError("map does not preserve the imaginary subspace")
-        cols.append(c[1:])
-    return LinearMap.from_cols(cols)
-
-
-# frozen imaginary bases: chosen so the induced 3-forms reproduce the printed
-# representatives exactly (orbit 8, orbit 5, and the orbit-2 alternate's
-# ambient identification)
-
-def _pair(t: AlgebraTable, a, b):
-    return t.element(list(a) + list(b))
-
-_Z = (0, 0, 0, 0)
-_ONE = (1, 0, 0, 0)
-_I = (0, 1, 0, 0)
-_J = (0, 0, 1, 0)
-_K = (0, 0, 0, 1)
-
-
-def octonion_form_basis() -> list:
-    """Imaginary octonion basis inducing the orbit-8 representative:
-    quaternion imaginary units first, then the doubled copy."""
-    t = build_algebra("O")
-    return [_pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _ONE),
-            _pair(t, _Z, _I), _pair(t, _Z, _J), _pair(t, _Z, _K)]
-
-
-def split_so4_basis() -> list:
-    """Imaginary basis of the quaternion-pair split octonions inducing the
-    orbit-5 representative (fifth element carries a sign the pair product
-    forces)."""
-    t = build_algebra("Osplit")
-    return [_pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _ONE),
-            _pair(t, _Z, (0, -1, 0, 0)), _pair(t, _Z, _J), _pair(t, _Z, _K)]
-
-
-def sl2pair_basis() -> list:
-    """Imaginary basis of the doubled split quaternions matching the
-    coordinates of the orbit-2 alternate representative."""
-    t = build_algebra("Osplit_from_Hsplit")
-    return [_pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _ONE),
-            _pair(t, _Z, _I), _pair(t, _Z, _J), _pair(t, _Z, _K)]
-
-
-def split_octonion_form_basis() -> list:
-    """Imaginary basis of the doubled split quaternions inducing the orbit-5
-    representative, in the published interleaved order."""
-    t = build_algebra("Osplit_from_Hsplit")
-    return [_pair(t, _I, _Z), _pair(t, _Z, _ONE), _pair(t, _Z, _I),
-            _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _J), _pair(t, _Z, _K)]
-
-
 # --- embeddings ----------------------------------------------------------------
 
 def _as_quaternion(t: AlgebraTable, q):
@@ -210,7 +152,7 @@ def embed_so4(a, b, split: bool = False) -> LinearMap:
             q2 = multiply(H, multiply(H, b, q), ai)
             return t.element(list(p2.coords) + list(q2.coords))
 
-    return _matrix_in_imaginary_basis(t, basis, fn)
+    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
 
 def embed_so4_algebra_matrix(a, b, split: bool = False) -> list:
@@ -261,7 +203,8 @@ def embed_sl2pair(a, b) -> LinearMap:
         q2 = multiply(Ht, multiply(Ht, qa, q), qbi)
         return t.element(list(p2.coords) + list(q2.coords))
 
-    return _matrix_in_imaginary_basis(t, sl2pair_basis(), fn)
+    basis = sl2pair_basis()
+    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
 
 def embed_so3_33(A) -> LinearMap:
@@ -274,10 +217,7 @@ def embed_so3_33(A) -> LinearMap:
             for i in range(3)]
     if at_a != [[1, 0, 0], [0, 1, 0], [0, 0, 1]]:
         raise ValueError("matrix is not orthogonal")
-    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    if det != 1:
+    if LinearMap(rows).det() != 1:
         raise ValueError("matrix must have determinant 1")
     g = [[_F0] * 7 for _ in range(7)]
     g[0][0] = _F1
@@ -326,7 +266,7 @@ def so4_generator(x, y, split: bool = False) -> LinearMap:
             dq = multiply(H, qy, q) - multiply(H, q, qx)
         return t.element(list(dp.coords) + list(dq.coords))
 
-    return _matrix_in_imaginary_basis(t, basis, fn)
+    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
 
 def sl2pair_generator(x, y) -> LinearMap:
@@ -345,7 +285,8 @@ def sl2pair_generator(x, y) -> LinearMap:
         dq = multiply(Ht, qx, q) - multiply(Ht, q, qy)
         return t.element(list(dp.coords) + list(dq.coords))
 
-    return _matrix_in_imaginary_basis(t, sl2pair_basis(), fn)
+    basis = sl2pair_basis()
+    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
 
 def so3_33_generator(s1, s2, s3) -> LinearMap:
@@ -373,16 +314,13 @@ def gl2pair_generator(x, y) -> LinearMap:
 
 
 def in_matrix_span(candidates: list[LinearMap], target: LinearMap) -> bool:
-    """Exact membership of target in the linear span of candidate matrices."""
+    """Exact membership of target in the linear span of candidate matrices:
+    one elimination of [candidates | target], in the span iff the target's
+    column is not a pivot column."""
     n = target.n
-    cols = [[m.rows[i][j] for i in range(n) for j in range(n)] for m in candidates]
-    tvec = [target.rows[i][j] for i in range(n) for j in range(n)]
-    rows = [[cols[c][k] for c in range(len(cols))] + [-tvec[k]]
-            for k in range(n * n)]
-    for v in kernel(rows):
-        if v[len(cols)] != 0:
-            return True
-    return False
+    mats = list(candidates) + [target]
+    rows = [[m.rows[i][j] for m in mats] for i in range(n) for j in range(n)]
+    return len(candidates) not in _echelon(rows)[1]
 
 
 # --- the torus realization ------------------------------------------------------
@@ -519,8 +457,7 @@ def _orbit6_reduction_algebra_form() -> KForm:
     """Induced form of the quaternion-pair split octonions on the display
     basis {i, j, k, e, ie, je, ke} (doubling unit multiplied on the right)."""
     t = build_algebra("Osplit")
-    e = _pair(t, _Z, _ONE)
-    qi, qj, qk = _pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z)
+    qi, qj, qk, e = split_so4_basis()[:4]
     basis = [qi, qj, qk, e, multiply(t, qi, e), multiply(t, qj, e), multiply(t, qk, e)]
     return algebras.triple_form(t, basis)
 

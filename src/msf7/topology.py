@@ -29,7 +29,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .exterior import LinearMap, signature
+from .exterior import LinearMap, json_int, signature
 
 ADMITS = "ADMITS"
 NO = "NO"
@@ -76,26 +76,37 @@ class Verdict:
         return out
 
 
+def _flag(data: dict, key: str) -> bool:
+    value = data[key]
+    if type(value) is not bool:
+        raise TypeError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def make_model(data: dict) -> CohomologyModel:
-    """Validate raw model data (symmetry, lengths, flag consistency)."""
+    """Validate raw model data (types, symmetry, lengths, flag consistency).
+
+    Flags must be JSON booleans and every count or class coordinate a JSON
+    integer; nothing is coerced.
+    """
     try:
         name = str(data.get("name", "unnamed"))
-        r2 = int(data["r2"])
-        r4 = int(data["r4"])
-        cup_raw = data["cup"]
-        p1 = tuple(int(x) for x in data["p1"])
-        w2 = tuple(int(x) % 2 for x in data["w2"])
-        orientable = bool(data["orientable"])
-        spin = bool(data["spin"])
-        w3_zero = bool(data["W3_zero"])
-        simply_connected = bool(data["simply_connected"])
-    except (KeyError, TypeError, ValueError) as exc:
+        r2 = json_int(data["r2"], "r2")
+        r4 = json_int(data["r4"], "r4")
+        cup = tuple(tuple(tuple(json_int(x, "cup entry") for x in cell) for cell in row)
+                    for row in data["cup"])
+        p1 = tuple(json_int(x, "p1 entry") for x in data["p1"])
+        w2 = tuple(json_int(x, "w2 entry") % 2 for x in data["w2"])
+        orientable = _flag(data, "orientable")
+        spin = _flag(data, "spin")
+        w3_zero = _flag(data, "W3_zero")
+        simply_connected = _flag(data, "simply_connected")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed cohomology model: {exc}") from exc
     if r2 < 0 or r4 < 0:
         raise ModelError("ranks must be nonnegative")
-    if len(cup_raw) != r2 or any(len(row) != r2 for row in cup_raw):
+    if len(cup) != r2 or any(len(row) != r2 for row in cup):
         raise ModelError(f"cup tensor must be {r2} x {r2}")
-    cup = tuple(tuple(tuple(int(x) for x in cell) for cell in row) for row in cup_raw)
     for i in range(r2):
         for j in range(r2):
             if len(cup[i][j]) != r4:
@@ -168,9 +179,22 @@ def _shell_vectors(dim: int, bound: int):
         yield ()
         return
     for shell in range(bound + 1):
-        for v in product(range(-shell, shell + 1), repeat=dim):
-            if max((abs(x) for x in v), default=0) == shell:
-                yield v
+        yield from _shell(dim, shell)
+
+
+def _shell(dim: int, s: int):
+    """Vectors of max-norm exactly s in lexicographic order, generated from
+    the boundary of the cube [-s, s]^dim only."""
+    full = range(-s, s + 1)
+    for x in full:
+        if abs(x) == s:
+            tails = product(full, repeat=dim - 1)
+        elif dim > 1:
+            tails = _shell(dim - 1, s)
+        else:
+            continue
+        for rest in tails:
+            yield (x,) + rest
 
 
 def _quadratic_matrix(q, dim: int) -> list[list[Fraction]]:

@@ -65,6 +65,16 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", str(path))
         assert code == 0 and out.strip() == "NonMultisymplectic"
 
+    @pytest.mark.parametrize("form", [
+        {"degree": 3.9, "terms": [{"idx": [1, 2, 3], "coef": "1"}]},
+        {"degree": 3, "terms": [{"idx": [1.7, 2, 3], "coef": "1"}]},
+        {"degree": 3, "terms": [{"idx": [False, 2, 3], "coef": "1"}]}])
+    def test_non_integer_degree_or_index_is_input_error(self, tmp_path, capsys, form):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(form))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == "" and "must be an integer" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "/no/such/file.json")
         assert code == 2 and "error" in err
@@ -147,6 +157,19 @@ class TestTopoCheck:
         code, out, _ = run(capsys, "topo-check", "src/msf7/models/s7.json",
                            "--type", "8")
         assert code == 0 and out.startswith("ADMITS")
+
+    @pytest.mark.parametrize("overrides", [
+        {"orientable": "false"}, {"spin": "false"}, {"cup": [[[1.7]]]},
+        {"p1": ["4"]}, {"r2": 1.0}])
+    def test_coercible_model_values_are_input_errors(self, capsys, tmp_path, overrides):
+        data = {"name": "m", "r2": 1, "r4": 1, "cup": [[[1]]], "p1": [4],
+                "w2": [0], "orientable": True, "spin": True, "W3_zero": True,
+                "simply_connected": False}
+        data.update(overrides)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "topo-check", str(path), "--type", "8")
+        assert code == 2 and out == "" and "malformed cohomology model" in err
 
     def test_bad_model_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

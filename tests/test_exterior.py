@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from msf7.exterior import (
     KForm,
     LinearMap,
     SymmetricMatrix,
+    _det,
+    _invert,
     add_vectors,
     basis_vector,
     interior,
@@ -23,7 +26,8 @@ from msf7.exterior import (
     vec,
     wedge,
 )
-from msf7.forms7 import canonical
+from msf7.forms7 import _stabilizer_system, canonical
+from msf7.stabilizers import in_matrix_span
 
 from conftest import invertible_maps, kforms, linear_maps, vectors
 
@@ -186,6 +190,113 @@ class TestKernel:
         assert all(sum(row[j] * x[j] for j in range(3)) == 0 for row in m)
 
 
+def reference_rref(m):
+    """Gauss-Jordan over Fractions, independent of the package's elimination:
+    returns (reduced rows, pivot columns, determinant if m is square)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    nr, nc = len(a), len(a[0])
+    pivots, det, r = [], Fraction(1), 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv], det = a[piv], a[r], -det
+        det *= a[r][c]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    if nr != nc:
+        return a, pivots, None
+    return a, pivots, det if len(pivots) == nr else Fraction(0)
+
+
+def reference_kernel(m):
+    """One primitive integer vector per free column, first nonzero positive."""
+    a, pivots, _ = reference_rref(m)
+    nc = len(a[0])
+    out = []
+    for f in (c for c in range(nc) if c not in pivots):
+        x = [Fraction(int(c == f)) for c in range(nc)]
+        for row, pc in zip(a, pivots):
+            x[pc] = -row[f]
+        scale = math.lcm(*(v.denominator for v in x))
+        ints = [int(v * scale) for v in x]
+        g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+        out.append(tuple(Fraction(v // g) for v in ints))
+    return out
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices up to 8 x 9, sparse, with zero and duplicate rows."""
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=5))
+    rows = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    for i in range(1, nr):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "copy")))
+        if kind == "zero":
+            rows[i] = [Fraction(0)] * nc
+        elif kind == "copy":
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+    return rows
+
+
+# kernel basis of the orbit-8 stabilizer system as the earlier Fraction
+# back-substitution returned it: nonzero entries {flattened index: value}
+ORBIT8_KERNEL = (
+    {11: 1, 17: -1, 23: 1, 29: -1}, {10: 1, 18: 1, 22: -1, 30: -1},
+    {9: 1, 15: -1, 25: -1, 31: 1}, {5: 1, 17: 1, 23: -1, 35: -1},
+    {4: 1, 12: -1, 28: -1, 36: 1}, {3: 1, 19: -1, 21: -1, 37: 1},
+    {2: 1, 14: -1, 26: 1, 38: -1}, {1: 1, 7: -1, 33: 1, 39: -1},
+    {6: 1, 10: -1, 22: 1, 42: -1}, {3: 1, 13: 1, 21: -1, 43: -1},
+    {4: 1, 20: -1, 28: -1, 44: 1}, {1: 1, 7: -1, 27: -1, 45: 1},
+    {2: 1, 14: -1, 34: 1, 46: -1}, {9: 1, 15: -1, 41: 1, 47: -1},
+)
+
+
+class TestEchelonCore:
+    """kernel, rank, det, inverse and span tests share one elimination; each
+    is checked against an independent Fraction Gauss-Jordan reference."""
+
+    @settings(max_examples=300)
+    @given(m=rational_matrices())
+    def test_agrees_with_fraction_reference(self, m):
+        _, pivots, _ = reference_rref(m)
+        assert kernel(m) == reference_kernel(m)
+        assert rank(m) == len(pivots)
+        n = min(len(m), len(m[0]))
+        sq = [row[:n] for row in m[:n]]
+        ref_det = reference_rref(sq)[2]
+        assert _det(sq) == ref_det
+        aug = reference_rref([row + [Fraction(int(i == j)) for j in range(n)]
+                              for i, row in enumerate(sq)])[0]
+        assert _invert(sq) == ([row[n:] for row in aug] if ref_det else None)
+
+    @settings(max_examples=150)
+    @given(m=rational_matrices())
+    def test_span_membership_agrees_with_reference_rank(self, m):
+        # columns of m, zero padded to 9 entries, as 3x3 matrices
+        mats = [LinearMap([[(col + (Fraction(0),) * 9)[3 * i + j] for j in range(3)]
+                           for i in range(3)]) for col in zip(*m)]
+        expected = (len(reference_rref([row[:-1] for row in m])[1])
+                    == len(reference_rref(m)[1]))
+        assert in_matrix_span(mats[:-1], mats[-1]) == expected
+
+    def test_empty_matrix(self):
+        assert (_det([]), _invert([]), kernel([]), rank([])) == (1, [], [], 0)
+        assert KForm(0, {(): 3}).evaluate([]) == 3
+
+    def test_orbit8_stabilizer_kernel_is_pinned(self):
+        got = kernel(_stabilizer_system(canonical(8).form))
+        want = [tuple(Fraction(v.get(i, 0)) for i in range(49)) for v in ORBIT8_KERNEL]
+        assert got == want
+
+
 class TestSignature:
     def test_identity(self):
         assert signature(LinearMap.identity().rows) == (7, 0, 0)
@@ -224,6 +335,17 @@ class TestSerialization:
     def test_kform_json_rejects_garbage(self):
         with pytest.raises(ValueError, match="malformed"):
             KForm.from_json({"degree": 3})
+
+    @pytest.mark.parametrize("data", [
+        {"degree": 3.9, "terms": [{"idx": [1, 2, 3], "coef": "1"}]},
+        {"degree": "3", "terms": [{"idx": [1, 2, 3], "coef": "1"}]},
+        {"degree": True, "terms": []},
+        {"degree": 3, "terms": [{"idx": [1.7, 2, 3], "coef": "1"}]},
+        {"degree": 3, "terms": [{"idx": [1, True, 3], "coef": "1"}]},
+    ])
+    def test_kform_json_rejects_non_integers(self, data):
+        with pytest.raises(ValueError, match="must be an integer"):
+            KForm.from_json(data)
 
     def test_linear_map_json_round_trip(self):
         g = LinearMap.from_images({1: vec(0, 1), 2: vec(1)})

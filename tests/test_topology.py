@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from msf7.topology import (
     UNKNOWN,
     HypothesisError,
     ModelError,
+    _shell_vectors,
     bundled_model,
     bundled_model_names,
     check_type,
@@ -77,6 +79,24 @@ class TestModelLoading:
     def test_bad_lengths(self):
         with pytest.raises(ModelError, match="length"):
             make_model(model_dict(p1=[1, 2]))
+
+    @pytest.mark.parametrize("key, value", [
+        ("orientable", "false"), ("spin", "false"), ("spin", 1),
+        ("simply_connected", None), ("W3_zero", "true")])
+    def test_flags_must_be_booleans(self, key, value):
+        with pytest.raises(ModelError, match=f"{key} must be true or false"):
+            make_model(model_dict(**{key: value}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("r2", 1.0), ("r4", True), ("cup", [[[1.7]]]), ("p1", ["4"]),
+        ("p1", "4"), ("w2", [0.0]), ("cup", [[["1"]]])])
+    def test_counts_and_classes_must_be_integers(self, key, value):
+        with pytest.raises(ModelError, match="must be an integer"):
+            make_model(model_dict(**{key: value}))
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ModelError, match="malformed"):
+            make_model([1, 2])
 
     def test_unknown_bundle(self):
         with pytest.raises(ModelError, match="no bundled model"):
@@ -231,3 +251,15 @@ class TestCriteria:
         m = bundled_model("s5xs2")
         v = check_type(m, 1)
         assert v.witness == ((0,), (0,))
+
+
+class TestShellEnumeration:
+    @pytest.mark.parametrize("dim", range(5))
+    @pytest.mark.parametrize("bound", range(5))
+    def test_matches_filtered_cube(self, dim, bound):
+        """Shell-only generation gives the same sequence as filtering each
+        whole cube by max-norm, so reported witnesses do not change."""
+        brute = [v for s in range(bound + 1)
+                 for v in product(range(-s, s + 1), repeat=dim)
+                 if max(map(abs, v), default=0) == s]
+        assert list(_shell_vectors(dim, bound)) == brute
