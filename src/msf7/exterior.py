@@ -33,10 +33,11 @@ DIM = 7
 
 
 def scal(x) -> Fraction:
-    """Coerce ints, strings like '-1/2', and Fractions to an exact Scalar."""
+    """Coerce ints, strings like '-1/2', and Fractions to an exact Scalar;
+    bools are refused, so a JSON ``true`` is never read as 1."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 

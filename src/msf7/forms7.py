@@ -8,17 +8,25 @@ and 7 carry alternate representatives: orbit 5 the algebra-derived variant
 used alongside orbit 2, orbits 6 and 7 the representatives obtained through
 the published basis-change maps.
 
-The classifier key is (rank of the contraction map, rank and unordered
-signature of the induced bilinear form, stabilizer dimension); the key table
-is built from the canonical forms on first use and refuses to classify if it
-fails to separate the orbits.
+A form whose contraction map v -> i_v w has rank below 7 is not
+multisymplectic.  Otherwise the classifier key is (rank and unordered
+signature of the induced bilinear form B, divisibility flag).  The flag is
+set only when B has rank 1, B = c l (x) l, and says whether l ^ w = 0, i.e.
+w = l ^ sigma.  It is a GL(7) invariant: pullback by g turns B into
+det(g) g^T B g, so l into a multiple of g^T l, and g*(l ^ w) = 0 iff
+l ^ w = 0.  B and the stabilizer system are read off one integer
+coefficient vector of w (the coefficients times their common denominator).
+The key table is built from the canonical forms on first use and refuses to
+classify if it fails to separate the orbits.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from . import algebras
@@ -27,6 +35,7 @@ from .exterior import (
     KForm,
     LinearMap,
     SymmetricMatrix,
+    _sort_with_sign,
     basis_vector,
     interior,
     kernel,
@@ -161,13 +170,35 @@ def canonical(orbit_id: int, variant: str = "standard") -> CanonicalForm:
 def _require_3form(w: KForm) -> None:
     if w.degree != 3:
         raise ValueError(f"expected a 3-form, got degree {w.degree}")
+    if w.n != DIM:
+        raise ValueError(f"expected a 3-form on R^{DIM}, got one on R^{w.n}")
+
+
+_TRIPLES = tuple(combinations(range(1, DIM + 1), 3))
+_TRIPLE_INDEX = {t: k for k, t in enumerate(_TRIPLES)}
+_PAIR_INDEX = {t: k for k, t in enumerate(combinations(range(1, DIM + 1), 2))}
+
+
+def _scaled_coefficients(w: KForm) -> tuple[list[int], int]:
+    """(c, D): D is the lcm of the coefficient denominators of w and c[k] is
+    D times the coefficient of the k-th index triple (lexicographic order)."""
+    d = math.lcm(*(x.denominator for x in w.terms.values()))
+    c = [0] * len(_TRIPLES)
+    for idx, x in w.terms.items():
+        c[_TRIPLE_INDEX[idx]] = x.numerator * (d // x.denominator)
+    return c, d
 
 
 def contraction_matrix(w: KForm) -> list[list[Fraction]]:
     """21 x 7 matrix of v -> interior(v, w) in the pair basis of 2-forms."""
     _require_3form(w)
-    pairs = list(combinations(range(1, DIM + 1), 2))
-    return [[w.coefficient((j, p, q)) for j in range(1, DIM + 1)] for (p, q) in pairs]
+    rows = [[Fraction(0)] * DIM for _ in _PAIR_INDEX]
+    for (a, b, c), x in w.terms.items():
+        # i_{e_a} e^abc = e^bc, i_{e_b} e^abc = -e^ac, i_{e_c} e^abc = e^ab
+        rows[_PAIR_INDEX[b, c]][a - 1] = x
+        rows[_PAIR_INDEX[a, c]][b - 1] = -x
+        rows[_PAIR_INDEX[a, b]][c - 1] = x
+    return rows
 
 
 def ms_rank(w: KForm) -> int:
@@ -179,16 +210,51 @@ def is_multisymplectic(w: KForm) -> bool:
     return ms_rank(w) == DIM
 
 
+@cache
+def _cubic_table() -> tuple[tuple[int, int, tuple[tuple[int, int, int, int], ...]], ...]:
+    """For each pair i <= j (0-based), the terms (I, J, K, sign) with
+    i_{e_i} e^I ^ i_{e_j} e^J ^ e^K = sign vol, as triple indices.
+
+    2,940 terms; K is the complement of (I - i) and (J - j).  Built on first
+    use only, so callers that never need B do not pay for it.
+    """
+    full = set(range(1, DIM + 1))
+    table = []
+    for i in range(1, DIM + 1):
+        for j in range(i, DIM + 1):
+            terms = []
+            for p in combinations(sorted(full - {i}), 2):
+                si, ki = _contract_sign(i, p)
+                for q in combinations(sorted(full - {j} - set(p)), 2):
+                    sj, kj = _contract_sign(j, q)
+                    k = tuple(sorted(full - set(p) - set(q)))
+                    _, s = _sort_with_sign(p + q + k)
+                    terms.append((ki, kj, _TRIPLE_INDEX[k], si * sj * s))
+            table.append((i - 1, j - 1, tuple(terms)))
+    return tuple(table)
+
+
+def _contract_sign(i: int, rest: tuple[int, int]) -> tuple[int, int]:
+    """(sign, k) with i_{e_i} e^(triple k) = sign e^rest."""
+    idx, s = _sort_with_sign((i,) + rest)
+    return s, _TRIPLE_INDEX[idx]
+
+
 def b_form(w: KForm) -> SymmetricMatrix:
-    """B(u, v) defined by interior(u,w) ^ interior(v,w) ^ w = B(u,v) vol."""
+    """B(u, v) defined by interior(u,w) ^ interior(v,w) ^ w = B(u,v) vol.
+
+    Cubic in the coefficients: with w scaled to integers c by D,
+    B_ij = sum of sign c_I c_J c_K over the cubic table, divided by D^3.
+    """
     _require_3form(w)
-    vol_idx = tuple(range(1, DIM + 1))
-    ivw = [interior(basis_vector(i), w) for i in range(1, DIM + 1)]
+    c, d = _scaled_coefficients(w)
+    d3 = d ** 3
     rows = [[Fraction(0)] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i, DIM):
-            c = wedge(wedge(ivw[i], ivw[j]), w).terms.get(vol_idx, Fraction(0))
-            rows[i][j] = rows[j][i] = c
+    for i, j, terms in _cubic_table():
+        total = 0
+        for a, b, k, s in terms:
+            total += s * c[a] * c[b] * c[k]
+        rows[i][j] = rows[j][i] = Fraction(total, d3)
     return SymmetricMatrix(rows)
 
 
@@ -199,18 +265,38 @@ def b_signature(w: KForm) -> tuple[int, int]:
     return (max(p, n), min(p, n))
 
 
-def _stabilizer_system(w: KForm) -> list[list[Fraction]]:
-    """35 x 49 system for w(Au,v,x)+w(u,Av,x)+w(u,v,Ax) = 0; unknown A[m][p]
-    flattened as m*7 + p."""
-    _require_3form(w)
-    rows = []
-    for (p, q, r) in combinations(range(1, DIM + 1), 3):
-        row = [Fraction(0)] * (DIM * DIM)
+def _divides(covector, w: KForm) -> bool:
+    """True iff the 1-form with these coordinates wedges w to zero, i.e.
+    w = covector ^ sigma for some 2-form sigma (covector nonzero)."""
+    ell = KForm(1, {(k + 1,): x for k, x in enumerate(covector)})
+    return wedge(ell, w).is_zero()
+
+
+@cache
+def _stabilizer_pattern() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each triple index k, the entries (row, column, sign) at which
+    sign * (coefficient k of w) sits in the stabilizer system."""
+    pattern: list[list[tuple[int, int, int]]] = [[] for _ in _TRIPLES]
+    for row, (p, q, r) in enumerate(_TRIPLES):
         for m in range(1, DIM + 1):
-            row[(m - 1) * DIM + (p - 1)] += w.coefficient((m, q, r))
-            row[(m - 1) * DIM + (q - 1)] += w.coefficient((p, m, r))
-            row[(m - 1) * DIM + (r - 1)] += w.coefficient((p, q, m))
-        rows.append(row)
+            for slot, idx in ((p, (m, q, r)), (q, (p, m, r)), (r, (p, q, m))):
+                t, sign = _sort_with_sign(idx)
+                if sign:
+                    pattern[_TRIPLE_INDEX[t]].append((row, (m - 1) * DIM + slot - 1, sign))
+    return tuple(tuple(entries) for entries in pattern)
+
+
+def _stabilizer_system(w: KForm) -> list[list[int]]:
+    """35 x 49 system for w(Au,v,x)+w(u,Av,x)+w(u,v,Ax) = 0, scaled to
+    integers by the common denominator of w; unknown A[m][p] flattened as
+    m*7 + p."""
+    _require_3form(w)
+    c, _ = _scaled_coefficients(w)
+    rows = [[0] * (DIM * DIM) for _ in _TRIPLES]
+    for x, entries in zip(c, _stabilizer_pattern()):
+        if x:
+            for r, col, sign in entries:
+                rows[r][col] = sign * x
     return rows
 
 
@@ -232,7 +318,7 @@ def compact_dim(w: KForm) -> int:
     rows = _stabilizer_system(w)
     for m in range(DIM):
         for p in range(m, DIM):
-            row = [Fraction(0)] * (DIM * DIM)
+            row = [0] * (DIM * DIM)
             row[m * DIM + p] += 1
             row[p * DIM + m] += 1
             rows.append(row)
@@ -285,8 +371,17 @@ class ClassifierTableError(RuntimeError):
 
 
 def _classifier_key(w: KForm, extended: bool) -> tuple:
-    p, n, _ = signature(b_form(w))
-    key = (p + n, (max(p, n), min(p, n)), stabilizer_dim(w))
+    """(rank of B, unordered signature of B, divisibility flag or None).
+
+    The flag is only defined when B has rank 1: then B = c l (x) l and every
+    nonzero row of B is a multiple of l; the flag says whether l ^ w = 0.
+    """
+    B = b_form(w)
+    p, n, _ = signature(B)
+    divisible = None
+    if p + n == 1:
+        divisible = _divides(next(row for row in B.rows if any(row)), w)
+    key = (p + n, (max(p, n), min(p, n)), divisible)
     if extended:
         key = key + (lambda5_rank(w),)
     return key

@@ -75,6 +75,14 @@ class TestClassify:
         code, out, err = run(capsys, "classify", str(path))
         assert code == 2 and out == "" and "must be an integer" in err
 
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    @pytest.mark.parametrize("coef", [True, False, 1.0])
+    def test_bool_or_float_coefficient_is_input_error(self, tmp_path, capsys, command, coef):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"degree": 3, "terms": [{"idx": [1, 2, 3], "coef": coef}]}))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == "" and "not an exact scalar" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "/no/such/file.json")
         assert code == 2 and "error" in err

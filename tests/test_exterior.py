@@ -354,6 +354,17 @@ class TestSerialization:
         # columns are images of basis vectors
         assert g.to_json()["cols"][0][1] == "1"
 
+    @pytest.mark.parametrize("entry", [True, False, 1.0])
+    def test_linear_map_json_rejects_bools_and_floats(self, entry):
+        data = LinearMap.identity().to_json()
+        data["cols"][2][2] = entry
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            LinearMap.from_json(data)
+
+    def test_kform_json_rejects_bool_coefficient(self):
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            KForm.from_json({"degree": 3, "terms": [{"idx": [1, 2, 3], "coef": True}]})
+
     def test_vector_helpers(self):
         assert basis_vector(3)[2] == 1
         assert vec(1, "1/2")[1] == Fraction(1, 2)

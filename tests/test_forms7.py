@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msf7.exterior import KForm, LinearMap, pullback, signature
+from msf7.exterior import (
+    DIM,
+    KForm,
+    LinearMap,
+    SymmetricMatrix,
+    basis_vector,
+    interior,
+    pullback,
+    signature,
+    wedge,
+)
 from msf7.forms7 import (
     NON_MULTISYMPLECTIC,
     b_form,
@@ -19,16 +33,80 @@ from msf7.forms7 import (
     invariant_vector,
     is_multisymplectic,
     ms_rank,
+    random_invertible,
     sample_orbit,
     stabilizer_algebra,
     stabilizer_dim,
+    _classifier_key,
     _classifier_table,
+    _divides,
+    _stabilizer_system,
 )
 from msf7.stabilizers import in_matrix_span
+
+from conftest import coefficients, kforms
 
 
 def alpha(*idx):
     return KForm.monomial(idx)
+
+
+# --- reference definitions the integer code paths are checked against ------
+
+def reference_b_form(w: KForm) -> SymmetricMatrix:
+    """B from its definition: 28 products interior(e_i,w) ^ interior(e_j,w) ^ w."""
+    vol = tuple(range(1, DIM + 1))
+    ivw = [interior(basis_vector(i), w) for i in range(1, DIM + 1)]
+    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(i, DIM):
+            rows[i][j] = rows[j][i] = wedge(wedge(ivw[i], ivw[j]), w).terms.get(vol, Fraction(0))
+    return SymmetricMatrix(rows)
+
+
+def reference_contraction_matrix(w: KForm) -> list[list[Fraction]]:
+    return [[w.coefficient((j, p, q)) for j in range(1, DIM + 1)]
+            for (p, q) in combinations(range(1, DIM + 1), 2)]
+
+
+def reference_stabilizer_system(w: KForm) -> list[list[Fraction]]:
+    rows = []
+    for (p, q, r) in combinations(range(1, DIM + 1), 3):
+        row = [Fraction(0)] * (DIM * DIM)
+        for m in range(1, DIM + 1):
+            row[(m - 1) * DIM + (p - 1)] += w.coefficient((m, q, r))
+            row[(m - 1) * DIM + (q - 1)] += w.coefficient((p, m, r))
+            row[(m - 1) * DIM + (r - 1)] += w.coefficient((p, q, m))
+        rows.append(row)
+    return rows
+
+
+def reference_key(w: KForm) -> tuple:
+    """The classifier key before the divisibility flag replaced the
+    stabilizer dimension."""
+    p, n, _ = signature(reference_b_form(w))
+    return (p + n, (max(p, n), min(p, n)), stabilizer_dim(w))
+
+
+def rational_invertible(rng: random.Random) -> LinearMap:
+    while True:
+        g = LinearMap([[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(DIM)]
+                       for _ in range(DIM)])
+        if g.is_invertible():
+            return g
+
+
+@st.composite
+def dense_3forms(draw):
+    return KForm(3, {t: draw(coefficients) for t in combinations(range(1, DIM + 1), 3)})
+
+
+@st.composite
+def degenerate_3forms(draw):
+    """Forms in e1..e6 only, so e7 contracts to zero."""
+    terms = draw(st.dictionaries(st.sampled_from(list(combinations(range(1, DIM), 3))),
+                                 coefficients, max_size=8))
+    return KForm(3, terms)
 
 
 class TestCanonical:
@@ -81,6 +159,12 @@ class TestMultisymplectic:
         with pytest.raises(ValueError, match="3-form"):
             is_multisymplectic(alpha(1, 2))
 
+    def test_wrong_dimension_rejected(self):
+        w = KForm(3, {(1, 2, 8): 1}, n=8)
+        for f in (is_multisymplectic, b_form, classify, stabilizer_dim):
+            with pytest.raises(ValueError, match="R\\^7"):
+                f(w)
+
     def test_rank_equals_contraction_rank(self):
         w = canonical(4).form
         assert ms_rank(w) == 7
@@ -111,6 +195,82 @@ class TestBForm:
             rhs = (g.transpose() @ LinearMap(B.rows) @ g)
             det = g.det()
             assert lhs.rows == tuple(tuple(det * x for x in row) for row in rhs.rows)
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(w=kforms(degree=3, max_terms=8))
+    def test_sparse_forms(self, w):
+        assert b_form(w) == reference_b_form(w)
+        assert contraction_matrix(w) == reference_contraction_matrix(w)
+
+    @settings(max_examples=20, deadline=None)
+    @given(w=dense_3forms())
+    def test_dense_forms(self, w):
+        assert b_form(w) == reference_b_form(w)
+        assert contraction_matrix(w) == reference_contraction_matrix(w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=degenerate_3forms())
+    def test_non_multisymplectic_forms(self, w):
+        assert not is_multisymplectic(w)
+        assert b_form(w) == reference_b_form(w)
+        assert contraction_matrix(w) == reference_contraction_matrix(w)
+
+    def test_zero_form(self):
+        w = KForm.zero(3)
+        assert b_form(w) == reference_b_form(w) == SymmetricMatrix([[0] * DIM] * DIM)
+        assert contraction_matrix(w) == reference_contraction_matrix(w)
+
+    def test_entries_are_fractions(self):
+        w = pullback(rational_invertible(random.Random(2)), canonical(4).form)
+        assert all(type(x) is Fraction for row in b_form(w).rows for x in row)
+        assert all(type(x) is Fraction for row in contraction_matrix(w) for x in row)
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=st.one_of(kforms(degree=3, max_terms=8), dense_3forms()))
+    def test_stabilizer_system_is_the_reference_times_the_denominator(self, w):
+        d = math.lcm(*(x.denominator for x in w.terms.values()))
+        assert _stabilizer_system(w) == [[d * x for x in row]
+                                         for row in reference_stabilizer_system(w)]
+
+    @pytest.mark.parametrize("orbit", range(1, 9))
+    def test_classify_agrees_with_stabilizer_key(self, orbit):
+        table = {reference_key(canonical(i).form): i for i in range(1, 9)}
+        assert len(table) == 8
+        rng = random.Random(500 + orbit)
+        maps = [random_invertible(rng) for _ in range(2)]
+        maps += [rational_invertible(rng) for _ in range(2)]
+        for g in maps:
+            w = pullback(g, canonical(orbit).form)
+            assert classify(w) == table[reference_key(w)] == orbit
+
+
+class TestDivisibilityFlag:
+    def test_canonical_forms(self):
+        assert _classifier_key(canonical(3).form, False) == (1, (1, 0), True)
+        assert _classifier_key(canonical(4).form, False) == (1, (1, 0), False)
+        for i in (1, 2, 5, 6, 7, 8):
+            assert _classifier_key(canonical(i).form, False)[2] is None
+
+    @staticmethod
+    def _pullbacks(orbit):
+        rng = random.Random(700 + orbit)
+        maps = [random_invertible(rng) for _ in range(20)]
+        maps += [rational_invertible(rng) for _ in range(20)]
+        return [pullback(g, canonical(orbit).form) for g in maps]
+
+    @pytest.mark.parametrize("orbit", [3, 4])
+    def test_constant_on_pullbacks(self, orbit):
+        keys = {_classifier_key(w, False) for w in self._pullbacks(orbit)}
+        assert keys == {(1, (1, 0), orbit == 3)}
+
+    @pytest.mark.parametrize("orbit", [3, 4])
+    def test_every_nonzero_row_gives_the_flag(self, orbit):
+        for w in [canonical(orbit).form] + self._pullbacks(orbit):
+            rows = [row for row in b_form(w).rows if any(row)]
+            assert rows
+            assert {_divides(row, w) for row in rows} == {orbit == 3}
 
 
 class TestStabilizer:
