@@ -1,24 +1,27 @@
-"""Cayley-Dickson construction and the concrete composition algebras.
+"""Doubling construction and the concrete composition algebras.
 
 An :class:`AlgebraTable` stores structure constants, the conjugation matrix,
 the polarized norm form and the unit index, all over exact rationals.  Seven
 concrete algebras are built by :func:`build_algebra`:
 
-    R, C, H            -- the division tower (doubling with e^2 = -1)
+    R, C, H            -- the division tower (Cayley-Dickson doubling)
     Hsplit             -- split quaternions, realized by the 2x2 matrix model
     O                  -- octonions, doubling H
-    Osplit             -- split octonions as quaternion pairs with the
-                          plus-sign product (ac + d b~, cb + a~ d)
+    Osplit             -- split octonions as quaternion pairs
     Osplit_from_Hsplit -- split octonions by doubling the split quaternions
 
-The doubling product used for C, H, O and Osplit_from_Hsplit is
+Every doubled algebra comes from one routine, :func:`_double`: elements are
+pairs (a, b) of base elements, conjugation is (a, b)~ = (a~, -b), and only
+the product rule differs.  C, H, O and Osplit_from_Hsplit use the
+Cayley-Dickson rule
 
     (a, b) (c, d) = (a c - d~ b,  d a + b c~)
 
-with conjugation (a, b)~ = (a~, -b).  This is the unique ordering of the
-doubled slot for which x x~ = <x, x> 1 stays central once the base algebra is
-noncommutative; the variant with the final product reversed fails that
-identity for quaternion pairs and is rejected by the table validator.
+and Osplit the quaternion-pair rule (a c + d b~, c b + a~ d).  The order of
+the Cayley-Dickson second slot is the unique one for which x x~ = <x, x> 1
+stays central once the base algebra is noncommutative; the variant with the
+final product reversed fails that identity for quaternion pairs and is
+rejected by the table validator.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import KForm, LinearMap, SymmetricMatrix, kernel, scal, signature
+from .exterior import KForm, LinearMap, SymmetricMatrix, kernel, polarize, scal, signature
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -127,8 +130,9 @@ def multiply(t: AlgebraTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraEl
 
 
 def conjugate(t: AlgebraTable, x: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(t, tuple(sum(t.conj[i][j] * x.coords[j] for j in range(t.dim))
-                                   for i in range(t.dim)))
+    nonzero = [(j, c) for j, c in enumerate(x.coords) if c]
+    return AlgebraElement(t, tuple(sum((row[j] * c for j, c in nonzero), _F0)
+                                   for row in t.conj))
 
 
 def norm(t: AlgebraTable, x: AlgebraElement) -> Fraction:
@@ -174,22 +178,15 @@ def _table_from_mult(name, dim, mult, conj, unit_index, labels) -> AlgebraTable:
                            unit_index, labels)
 
     def n_of(coords):
-        x = AlgebraElement(t_probe, tuple(coords))
+        x = AlgebraElement(t_probe, coords)
         xc = multiply(t_probe, x, conjugate(t_probe, x))
         for k, c in enumerate(xc.coords):
             if k != unit_index and c:
                 raise ValueError(f"{name}: x*conj(x) is not central on {coords}")
         return xc.coords[unit_index]
 
-    diag = [n_of([_F1 if k == i else _F0 for k in range(dim)]) for i in range(dim)]
-    rows = [[_F0] * dim for _ in range(dim)]
-    for i in range(dim):
-        rows[i][i] = diag[i]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            nij = n_of([_F1 if k in (i, j) else _F0 for k in range(dim)])
-            rows[i][j] = rows[j][i] = (nij - diag[i] - diag[j]) / 2
-    table = AlgebraTable(name, dim, mult, conj, SymmetricMatrix(rows), unit_index, labels)
+    table = AlgebraTable(name, dim, mult, conj, SymmetricMatrix(polarize(n_of, dim)),
+                         unit_index, labels)
     _validate(table)
     return table
 
@@ -210,94 +207,37 @@ def _validate(t: AlgebraTable) -> None:
                 raise ValueError(f"{t.name}: conjugation is not an anti-automorphism")
 
 
-def _cayley_dickson(base: AlgebraTable, name: str, gamma: int = 1) -> AlgebraTable:
-    """Double `base`: pairs (a, b) with (a,b)(c,d) = (ac - gamma d~ b, da + bc~).
+def _bar(x: AlgebraElement) -> AlgebraElement:
+    return conjugate(x.table, x)
 
-    gamma=+1 gives the doubling unit e^2 = -1 (C, H, O and the split octonions
-    over split quaternions); gamma=-1 gives e^2 = +1.
+
+def _cayley_dickson_product(a, b, c, d):
+    return a * c - _bar(d) * b, d * a + b * _bar(c)
+
+
+def _quaternion_pair_product(a, b, c, d):
+    return a * c + d * _bar(b), c * b + _bar(a) * d
+
+
+def _double(base: AlgebraTable, name: str, product, label: str) -> AlgebraTable:
+    """Pairs (a, b) of base elements with (a, b)(c, d) = product(a, b, c, d)
+    and conjugation (a, b)~ = (a~, -b).
+
+    The table is read off the product on the basis pairs (e_i, 0), (0, e_i);
+    the doubled copy of base label l is label.format(l), "e" for the unit.
     """
-    d0 = base.dim
-    dim = 2 * d0
+    zero = base.zero()
+    pairs = ([(base.basis(i), zero) for i in range(base.dim)]
+             + [(zero, base.basis(i)) for i in range(base.dim)])
 
-    def pair_mult(i, j):
-        a, ea = (i % d0, i >= d0)
-        c, ec = (j % d0, j >= d0)
-        out = [_F0] * dim
-        # expand (a,b)(c,d) on basis elements: exactly one of a/b and c/d is set
-        if not ea and not ec:
-            prod = multiply(base, base.basis(a), base.basis(c))
-            for k, v in enumerate(prod.coords):
-                out[k] += v
-        elif not ea and ec:
-            # (a,0)(0,d) -> (0, d a)
-            prod = multiply(base, base.basis(c), base.basis(a))
-            for k, v in enumerate(prod.coords):
-                out[d0 + k] += v
-        elif ea and not ec:
-            # (0,b)(c,0) -> (0, b c~)
-            prod = multiply(base, base.basis(a), conjugate(base, base.basis(c)))
-            for k, v in enumerate(prod.coords):
-                out[d0 + k] += v
-        else:
-            # (0,b)(0,d) -> (-gamma d~ b, 0)
-            prod = multiply(base, conjugate(base, base.basis(c)), base.basis(a))
-            for k, v in enumerate(prod.coords):
-                out[k] -= gamma * v
-        return tuple(out)
+    def coords(x, y):
+        return x.coords + y.coords
 
-    mult = tuple(tuple(pair_mult(i, j) for j in range(dim)) for i in range(dim))
-    conj = [[_F0] * dim for _ in range(dim)]
-    for i in range(d0):
-        for j in range(d0):
-            conj[i][j] = base.conj[i][j]
-    for i in range(d0):
-        conj[d0 + i][d0 + i] = -_F1
-    labels = tuple(base.labels) + tuple(f"{l}e" if l != "1" else "e" for l in base.labels)
-    return _table_from_mult(name, dim, mult, tuple(tuple(r) for r in conj),
-                            base.unit_index, labels)
-
-
-def _double_plus_pairs(base: AlgebraTable, name: str) -> AlgebraTable:
-    """Quaternion-pair model (a,b)(c,d) = (ac + d b~, cb + a~ d) of the split
-    octonions; conjugation is (a,b)~ = (a~, -b)."""
-    d0 = base.dim
-    dim = 2 * d0
-
-    def pair_mult(i, j):
-        a, ea = (i % d0, i >= d0)
-        c, ec = (j % d0, j >= d0)
-        out = [_F0] * dim
-        if not ea and not ec:
-            prod = multiply(base, base.basis(a), base.basis(c))
-            for k, v in enumerate(prod.coords):
-                out[k] += v
-        elif not ea and ec:
-            # (a,0)(0,d) -> (0, a~ d)
-            prod = multiply(base, conjugate(base, base.basis(a)), base.basis(c))
-            for k, v in enumerate(prod.coords):
-                out[d0 + k] += v
-        elif ea and not ec:
-            # (0,b)(c,0) -> (0, c b)
-            prod = multiply(base, base.basis(c), base.basis(a))
-            for k, v in enumerate(prod.coords):
-                out[d0 + k] += v
-        else:
-            # (0,b)(0,d) -> (d b~, 0)
-            prod = multiply(base, base.basis(c), conjugate(base, base.basis(a)))
-            for k, v in enumerate(prod.coords):
-                out[k] += v
-        return tuple(out)
-
-    mult = tuple(tuple(pair_mult(i, j) for j in range(dim)) for i in range(dim))
-    conj = [[_F0] * dim for _ in range(dim)]
-    for i in range(d0):
-        for j in range(d0):
-            conj[i][j] = base.conj[i][j]
-    for i in range(d0):
-        conj[d0 + i][d0 + i] = -_F1
-    labels = tuple(base.labels) + tuple(f"e{l}" if l != "1" else "e" for l in base.labels)
-    return _table_from_mult(name, dim, mult, tuple(tuple(r) for r in conj),
-                            base.unit_index, labels)
+    mult = tuple(tuple(coords(*product(a, b, c, d)) for c, d in pairs) for a, b in pairs)
+    conj = tuple(zip(*(coords(_bar(a), -b) for a, b in pairs)))
+    labels = tuple(base.labels) + tuple(label.format(l) if l != "1" else "e"
+                                        for l in base.labels)
+    return _table_from_mult(name, 2 * base.dim, mult, conj, base.unit_index, labels)
 
 
 def _build_reals() -> AlgebraTable:
@@ -345,17 +285,18 @@ def build_algebra(kind: str) -> AlgebraTable:
     if kind == "R":
         t = _build_reals()
     elif kind == "C":
-        t = _cayley_dickson(build_algebra("R"), "C")
+        t = _double(build_algebra("R"), "C", _cayley_dickson_product, "{}e")
     elif kind == "H":
-        t = _cayley_dickson(build_algebra("C"), "H")
+        t = _double(build_algebra("C"), "H", _cayley_dickson_product, "{}e")
     elif kind == "Hsplit":
         t = _build_split_quaternions()
     elif kind == "O":
-        t = _cayley_dickson(build_algebra("H"), "O")
+        t = _double(build_algebra("H"), "O", _cayley_dickson_product, "{}e")
     elif kind == "Osplit":
-        t = _double_plus_pairs(build_algebra("H"), "Osplit")
+        t = _double(build_algebra("H"), "Osplit", _quaternion_pair_product, "e{}")
     else:
-        t = _cayley_dickson(build_algebra("Hsplit"), "Osplit_from_Hsplit")
+        t = _double(build_algebra("Hsplit"), "Osplit_from_Hsplit", _cayley_dickson_product,
+                    "{}e")
     _CACHE[kind] = t
     return t
 

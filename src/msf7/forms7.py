@@ -14,10 +14,10 @@ signature of the induced bilinear form B, divisibility flag).  The flag is
 set only when B has rank 1, B = c l (x) l, and says whether l ^ w = 0, i.e.
 w = l ^ sigma.  It is a GL(7) invariant: pullback by g turns B into
 det(g) g^T B g, so l into a multiple of g^T l, and g*(l ^ w) = 0 iff
-l ^ w = 0.  B and the stabilizer system are read off one integer
-coefficient vector of w (the coefficients times their common denominator).
-The key table is built from the canonical forms on first use and refuses to
-classify if it fails to separate the orbits.
+l ^ w = 0.  The keys of the eight orbits are distinct (Westwick, "Real
+trivectors of rank seven", 1981), so classify looks them up in a static
+table.  B and the stabilizer system are read off one integer coefficient
+vector of w (the coefficients times their common denominator).
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .exterior import (
     LinearMap,
     SymmetricMatrix,
     _sort_with_sign,
-    basis_vector,
-    interior,
     kernel,
     pullback,
     rank,
@@ -325,17 +323,6 @@ def compact_dim(w: KForm) -> int:
     return DIM * DIM - rank(rows)
 
 
-def lambda5_rank(w: KForm) -> int:
-    """Rank of v -> interior(v, w) ^ w as a map into 5-forms (fallback orbit
-    invariant, only consulted if the primary key table collides)."""
-    fives = list(combinations(range(1, DIM + 1), 5))
-    cols = []
-    for i in range(1, DIM + 1):
-        f = wedge(interior(basis_vector(i), w), w)
-        cols.append([f.terms.get(t, Fraction(0)) for t in fives])
-    return rank([[cols[j][t] for j in range(DIM)] for t in range(len(fives))])
-
-
 @dataclass(frozen=True)
 class InvariantVector:
     ms_rank: int
@@ -366,11 +353,7 @@ NON_MULTISYMPLECTIC = "NonMultisymplectic"
 UNKNOWN = "Unknown"
 
 
-class ClassifierTableError(RuntimeError):
-    """Raised if the invariant table fails to separate the eight orbits."""
-
-
-def _classifier_key(w: KForm, extended: bool) -> tuple:
+def _classifier_key(w: KForm) -> tuple:
     """(rank of B, unordered signature of B, divisibility flag or None).
 
     The flag is only defined when B has rank 1: then B = c l (x) l and every
@@ -381,34 +364,20 @@ def _classifier_key(w: KForm, extended: bool) -> tuple:
     divisible = None
     if p + n == 1:
         divisible = _divides(next(row for row in B.rows if any(row)), w)
-    key = (p + n, (max(p, n), min(p, n)), divisible)
-    if extended:
-        key = key + (lambda5_rank(w),)
-    return key
+    return (p + n, (max(p, n), min(p, n)), divisible)
 
 
-_TABLE: dict | None = None
-_TABLE_EXTENDED = False
-
-
-def _classifier_table() -> tuple[dict, bool]:
-    global _TABLE, _TABLE_EXTENDED
-    if _TABLE is not None:
-        return _TABLE, _TABLE_EXTENDED
-    for extended in (False, True):
-        table = {}
-        collision = False
-        for i in ORBIT_IDS:
-            key = _classifier_key(canonical(i).form, extended)
-            if key in table:
-                collision = True
-                break
-            table[key] = i
-        if not collision:
-            _TABLE, _TABLE_EXTENDED = table, extended
-            return table, extended
-    raise ClassifierTableError(
-        "invariant table does not separate the eight orbits; refusing to classify")
+# Keys of the eight canonical forms; the tests recompute them.
+_CLASSIFIER_TABLE = {
+    (2, (1, 1), None): 1,
+    (4, (2, 2), None): 2,
+    (1, (1, 0), True): 3,
+    (1, (1, 0), False): 4,
+    (7, (4, 3), None): 5,
+    (2, (2, 0), None): 6,
+    (4, (4, 0), None): 7,
+    (7, (7, 0), None): 8,
+}
 
 
 def classify(w: KForm):
@@ -420,8 +389,7 @@ def classify(w: KForm):
     _require_3form(w)
     if ms_rank(w) < DIM:
         return NON_MULTISYMPLECTIC
-    table, extended = _classifier_table()
-    return table.get(_classifier_key(w, extended), UNKNOWN)
+    return _CLASSIFIER_TABLE.get(_classifier_key(w), UNKNOWN)
 
 
 def random_invertible(rng: random.Random, spread: int = 3, max_tries: int = 100) -> LinearMap:

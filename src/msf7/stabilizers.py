@@ -115,15 +115,29 @@ def _as_quaternion(t: AlgebraTable, q):
     return t.element(coords)
 
 
-def embed_so4(a, b, split: bool = False) -> LinearMap:
-    """7x7 matrix of the pair action (p, q) -> (a p a^-1, ...) of two unit
-    quaternions on imaginary (split) octonions.
+def _sandwich(left, right):
+    return lambda p: left * p * right
 
-    Without `split` the second slot transforms as b q a^-1 and the matrix
-    stabilizes the orbit-8 (and orbit-7) representatives; with `split` it
-    transforms as a q b^-1 and stabilizes the orbit-5 representative.
-    (a, b) and (-a, -b) give the same matrix.
-    """
+
+def _bracket(left, right):
+    return lambda p: left * p - p * right
+
+
+def _pair_action(base: AlgebraTable, t: AlgebraTable, fp, fq):
+    """The map (p, q) -> (fp(p), fq(q)) on the algebra t of pairs of base
+    elements."""
+    h = base.dim
+
+    def fn(x):
+        p, q = base.element(x.coords[:h]), base.element(x.coords[h:])
+        return t.element(fp(p).coords + fq(q).coords)
+
+    return fn
+
+
+def _so4_action(a, b, split: bool):
+    """(algebra, map) of the unit-quaternion pair action; raises unless a and
+    b are unit quaternions."""
     H = build_algebra("H")
     a = _as_quaternion(H, a)
     b = _as_quaternion(H, b)
@@ -133,50 +147,45 @@ def embed_so4(a, b, split: bool = False) -> LinearMap:
     bi = conjugate(H, b)
     if split:
         t = build_algebra("Osplit")
-        basis = split_so4_basis()
+        return t, _pair_action(H, t, _sandwich(a, ai), _sandwich(a, bi))
+    t = build_algebra("O")
+    return t, _pair_action(H, t, _sandwich(a, ai), _sandwich(b, ai))
 
-        def fn(x):
-            p = H.element(x.coords[:4])
-            q = H.element(x.coords[4:])
-            p2 = multiply(H, multiply(H, a, p), ai)
-            q2 = multiply(H, multiply(H, a, q), bi)
-            return t.element(list(p2.coords) + list(q2.coords))
-    else:
-        t = build_algebra("O")
-        basis = octonion_form_basis()
 
-        def fn(x):
-            p = H.element(x.coords[:4])
-            q = H.element(x.coords[4:])
-            p2 = multiply(H, multiply(H, a, p), ai)
-            q2 = multiply(H, multiply(H, b, q), ai)
-            return t.element(list(p2.coords) + list(q2.coords))
+def _block_diag(*blocks) -> LinearMap:
+    """7x7 matrix with the given square blocks (lists of rows) down the
+    diagonal and zeros elsewhere; raises if they do not fill it."""
+    if (sum(len(blk) for blk in blocks) != 7
+            or any(len(row) != len(blk) for blk in blocks for row in blk)):
+        raise ValueError("blocks must be square and fill a 7x7 matrix")
+    g = [[_F0] * 7 for _ in range(7)]
+    r0 = 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            g[r0 + i][r0:r0 + len(row)] = row
+        r0 += len(blk)
+    return LinearMap(g)
 
+
+def embed_so4(a, b, split: bool = False) -> LinearMap:
+    """7x7 matrix of the pair action (p, q) -> (a p a^-1, ...) of two unit
+    quaternions on imaginary (split) octonions.
+
+    Without `split` the second slot transforms as b q a^-1 and the matrix
+    stabilizes the orbit-8 (and orbit-7) representatives; with `split` it
+    transforms as a q b^-1 and stabilizes the orbit-5 representative.
+    (a, b) and (-a, -b) give the same matrix.
+    """
+    t, fn = _so4_action(a, b, split)
+    basis = split_so4_basis() if split else octonion_form_basis()
     return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
 
 def embed_so4_algebra_matrix(a, b, split: bool = False) -> list:
     """Full 8x8 matrix of the same pair action on the (split) octonions, for
     automorphism checks."""
-    H = build_algebra("H")
-    a = _as_quaternion(H, a)
-    b = _as_quaternion(H, b)
-    if norm(H, a) != 1 or norm(H, b) != 1:
-        raise ValueError("parameters must be unit quaternions")
-    ai = conjugate(H, a)
-    bi = conjugate(H, b)
-    t = build_algebra("Osplit" if split else "O")
-    cols = []
-    for j in range(8):
-        x = t.basis(j)
-        p = H.element(x.coords[:4])
-        q = H.element(x.coords[4:])
-        p2 = multiply(H, multiply(H, a, p), ai)
-        if split:
-            q2 = multiply(H, multiply(H, a, q), bi)
-        else:
-            q2 = multiply(H, multiply(H, b, q), ai)
-        cols.append(list(p2.coords) + list(q2.coords))
+    t, fn = _so4_action(a, b, split)
+    cols = [fn(t.basis(j)).coords for j in range(8)]
     return [[cols[j][i] for j in range(8)] for i in range(8)]
 
 
@@ -195,14 +204,7 @@ def embed_sl2pair(a, b) -> LinearMap:
     qai = conjugate(Ht, qa).scale(1 / da)
     qbi = conjugate(Ht, qb).scale(1 / db)
     t = build_algebra("Osplit_from_Hsplit")
-
-    def fn(x):
-        p = Ht.element(x.coords[:4])
-        q = Ht.element(x.coords[4:])
-        p2 = multiply(Ht, multiply(Ht, qa, p), qai)
-        q2 = multiply(Ht, multiply(Ht, qa, q), qbi)
-        return t.element(list(p2.coords) + list(q2.coords))
-
+    fn = _pair_action(Ht, t, _sandwich(qa, qai), _sandwich(qa, qbi))
     basis = sl2pair_basis()
     return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
@@ -219,13 +221,7 @@ def embed_so3_33(A) -> LinearMap:
         raise ValueError("matrix is not orthogonal")
     if LinearMap(rows).det() != 1:
         raise ValueError("matrix must have determinant 1")
-    g = [[_F0] * 7 for _ in range(7)]
-    g[0][0] = _F1
-    for i in range(3):
-        for j in range(3):
-            g[1 + i][1 + j] = rows[i][j]
-            g[4 + i][4 + j] = rows[i][j]
-    return LinearMap(g)
+    return _block_diag([[_F1]], rows, rows)
 
 
 def embed_gl2pair(a, b) -> LinearMap:
@@ -234,15 +230,7 @@ def embed_gl2pair(a, b) -> LinearMap:
     da, db = _det2(a), _det2(b)
     if not da or not db:
         raise ValueError("parameters must be invertible")
-    g = [[_F0] * 7 for _ in range(7)]
-    g[0][0] = 1 / da
-    g[1][1] = 1 / db
-    for i in range(2):
-        for j in range(2):
-            g[2 + i][2 + j] = scal(a[i][j])
-            g[4 + i][4 + j] = scal(b[i][j])
-    g[6][6] = da * db
-    return LinearMap(g)
+    return _block_diag([[1 / da]], [[1 / db]], a, b, [[da * db]])
 
 
 # --- infinitesimal generators (exact derivatives of the embeddings) -----------
@@ -255,17 +243,8 @@ def so4_generator(x, y, split: bool = False) -> LinearMap:
     qy = H.element([0] + [scal(c) for c in y])
     t = build_algebra("Osplit" if split else "O")
     basis = split_so4_basis() if split else octonion_form_basis()
-
-    def fn(v):
-        p = H.element(v.coords[:4])
-        q = H.element(v.coords[4:])
-        dp = multiply(H, qx, p) - multiply(H, p, qx)
-        if split:
-            dq = multiply(H, qx, q) - multiply(H, q, qy)
-        else:
-            dq = multiply(H, qy, q) - multiply(H, q, qx)
-        return t.element(list(dp.coords) + list(dq.coords))
-
+    fq = _bracket(qx, qy) if split else _bracket(qy, qx)
+    fn = _pair_action(H, t, _bracket(qx, qx), fq)
     return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
 
@@ -277,40 +256,20 @@ def sl2pair_generator(x, y) -> LinearMap:
     if qx.coords[0] or qy.coords[0]:
         raise ValueError("generator parameters must be traceless")
     t = build_algebra("Osplit_from_Hsplit")
-
-    def fn(v):
-        p = Ht.element(v.coords[:4])
-        q = Ht.element(v.coords[4:])
-        dp = multiply(Ht, qx, p) - multiply(Ht, p, qx)
-        dq = multiply(Ht, qx, q) - multiply(Ht, q, qy)
-        return t.element(list(dp.coords) + list(dq.coords))
-
+    fn = _pair_action(Ht, t, _bracket(qx, qx), _bracket(qx, qy))
     basis = sl2pair_basis()
     return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
 
 def so3_33_generator(s1, s2, s3) -> LinearMap:
     S = [[_F0, scal(s1), scal(s2)], [-scal(s1), _F0, scal(s3)], [-scal(s2), -scal(s3), _F0]]
-    g = [[_F0] * 7 for _ in range(7)]
-    for i in range(3):
-        for j in range(3):
-            g[1 + i][1 + j] = S[i][j]
-            g[4 + i][4 + j] = S[i][j]
-    return LinearMap(g)
+    return _block_diag([[_F0]], S, S)
 
 
 def gl2pair_generator(x, y) -> LinearMap:
     trx = scal(x[0][0]) + scal(x[1][1])
     trY = scal(y[0][0]) + scal(y[1][1])
-    g = [[_F0] * 7 for _ in range(7)]
-    g[0][0] = -trx
-    g[1][1] = -trY
-    for i in range(2):
-        for j in range(2):
-            g[2 + i][2 + j] = scal(x[i][j])
-            g[4 + i][4 + j] = scal(y[i][j])
-    g[6][6] = trx + trY
-    return LinearMap(g)
+    return _block_diag([[-trx]], [[-trY]], x, y, [[trx + trY]])
 
 
 def in_matrix_span(candidates: list[LinearMap], target: LinearMap) -> bool:
@@ -337,16 +296,8 @@ def torus_matrix(theta_cs, rho_cs) -> LinearMap:
     for c, s in (th, rh):
         if c * c + s * s != 1:
             raise ValueError("angles must be rational rotation pairs")
-    blocks = [rotation_matrix(compose_angles(th, rh)), rotation_matrix(th),
-              rotation_matrix(rh)]
-    g = [[_F0] * 7 for _ in range(7)]
-    g[0][0] = _F1
-    for bi, blk in enumerate(blocks):
-        r0 = 1 + 2 * bi
-        for i in range(2):
-            for j in range(2):
-                g[r0 + i][r0 + j] = blk[i][j]
-    return LinearMap(g)
+    return _block_diag([[_F1]], rotation_matrix(compose_angles(th, rh)),
+                       rotation_matrix(th), rotation_matrix(rh))
 
 
 def torus_from_rotation_pair(cs1, cs2) -> LinearMap:

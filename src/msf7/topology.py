@@ -29,7 +29,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .exterior import LinearMap, json_int, signature
+from .exterior import LinearMap, json_int, polarize, signature
 
 ADMITS = "ADMITS"
 NO = "NO"
@@ -197,22 +197,6 @@ def _shell(dim: int, s: int):
             yield (x,) + rest
 
 
-def _quadratic_matrix(q, dim: int) -> list[list[Fraction]]:
-    """Symmetric matrix of a scalar quadratic form given as a callable."""
-    def unit(i):
-        return tuple(1 if k == i else 0 for k in range(dim))
-
-    m = [[Fraction(0)] * dim for _ in range(dim)]
-    diag = [Fraction(q(unit(i))) for i in range(dim)]
-    for i in range(dim):
-        m[i][i] = diag[i]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            s = Fraction(q(tuple(1 if k in (i, j) else 0 for k in range(dim))))
-            m[i][j] = m[j][i] = (s - diag[i] - diag[j]) / 2
-    return m
-
-
 def _definite_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
     """If some +-coordinate or +-sum functional of the vector-valued quadratic
     form is definite, return a box bound containing all integer solutions of
@@ -237,7 +221,7 @@ def _definite_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
             vals = qvec(x)
             return sum(l * v for l, v in zip(_lam, vals))
 
-        m = _quadratic_matrix(q_scalar, dim)
+        m = polarize(q_scalar, dim)
         pos, neg, null = signature(m)
         if pos != dim:
             continue

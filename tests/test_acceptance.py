@@ -24,8 +24,8 @@ from msf7.forms7 import (
     is_multisymplectic,
     random_invertible,
     stabilizer_dim,
+    _CLASSIFIER_TABLE,
     _classifier_key,
-    _classifier_table,
 )
 from msf7.stabilizers import (
     catalog,
@@ -167,10 +167,9 @@ def test_criterion_07_transformation_catalog():
 
 
 def test_criterion_08_classifier_fuzz():
-    table, extended = _classifier_table()
-    keys = {orbit: key for key, orbit in table.items()}
-    ok = len(keys) == 8 and not extended
-    detail = "" if ok else "invariant keys collide"
+    keys = {_classifier_key(canonical(orbit).form): orbit for orbit in range(1, 9)}
+    ok = keys == _CLASSIFIER_TABLE
+    detail = "" if ok else "canonical keys differ from the classifier table"
 
     iters = fuzz_iterations(100)
     for orbit in range(1, 9):

@@ -18,7 +18,7 @@ from msf7.algebras import (
     norm,
     norm_signature,
     triple_form,
-    _table_from_mult,
+    _double,
 )
 from msf7.exterior import LinearMap, pullback
 from msf7.forms7 import canonical
@@ -82,38 +82,13 @@ class TestConstruction:
         assert norm(Ht, Ht.basis(2)) == -1
 
     def test_reversed_doubling_slot_is_rejected(self):
-        # second slot b*conj(c) + a*d fails centrality of x*conj(x) over H
+        # second slot a d + b conj(c) fails centrality of x*conj(x) over H
+        def reversed_product(a, b, c, d):
+            return a * c - conjugate(H, d) * b, a * d + b * conjugate(H, c)
+
         H = build_algebra("H")
-        d0, dim = 4, 8
-
-        def pm(i, j):
-            a, ea = i % d0, i >= d0
-            c, ec = j % d0, j >= d0
-            out = [Fraction(0)] * dim
-            if not ea and not ec:
-                for k, v in enumerate(multiply(H, H.basis(a), H.basis(c)).coords):
-                    out[k] += v
-            elif not ea and ec:
-                for k, v in enumerate(multiply(H, H.basis(a), H.basis(c)).coords):
-                    out[d0 + k] += v      # a d  (reversed order)
-            elif ea and not ec:
-                for k, v in enumerate(multiply(H, H.basis(a), conjugate(H, H.basis(c))).coords):
-                    out[d0 + k] += v      # b conj(c)
-            else:
-                for k, v in enumerate(multiply(H, conjugate(H, H.basis(c)), H.basis(a)).coords):
-                    out[k] -= v
-            return tuple(out)
-
-        mult = tuple(tuple(pm(i, j) for j in range(dim)) for i in range(dim))
-        conj = [[Fraction(0)] * dim for _ in range(dim)]
-        for i in range(d0):
-            for j in range(d0):
-                conj[i][j] = H.conj[i][j]
-        for i in range(d0):
-            conj[d0 + i][d0 + i] = Fraction(-1)
         with pytest.raises(ValueError, match="not central"):
-            _table_from_mult("broken", dim, mult, tuple(tuple(r) for r in conj),
-                             0, tuple("01234567"))
+            _double(H, "broken", reversed_product, "{}e")
 
 
 class TestAlgebraLaws:

@@ -1,0 +1,62 @@
+"""Static guard for exactness: the package source never touches floats.
+
+Every module of ``msf7`` is parsed with ``ast``.  A float (or complex)
+literal, the name ``float``, or a ``math`` function other than the integer
+ones (``lcm``, ``gcd``, ``isqrt``) fails the scan.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import msf7
+
+INTEGER_MATH = {"lcm", "gcd", "isqrt"}
+SOURCES = sorted(Path(msf7.__file__).parent.glob("*.py"))
+
+
+def violations(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"line {node.lineno}: name float")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in INTEGER_MATH):
+            found.append(f"line {node.lineno}: math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"line {node.lineno}: from math import {a.name}"
+                      for a in node.names if a.name not in INTEGER_MATH]
+    return found
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"exterior.py", "forms7.py", "algebras.py",
+                                          "stabilizers.py", "topology.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_is_exact(path):
+    assert violations(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "x = 0.5",
+    "x = 1e3",
+    "x = 2j",
+    "y = float(x)",
+    "isinstance(x, float)",
+    "import math\ny = math.sqrt(2)",
+    "import math\ny = math.pi",
+    "from math import sqrt",
+])
+def test_scan_catches(snippet):
+    assert violations(snippet)
+
+
+def test_scan_allows_integer_math():
+    assert violations("import math\ny = math.lcm(2, 3) + math.gcd(4, 6) + math.isqrt(9)") == []

@@ -20,6 +20,7 @@ from msf7.exterior import (
     basis_vector,
     interior,
     kernel,
+    polarize,
     pullback,
     rank,
     signature,
@@ -322,6 +323,18 @@ class TestSignature:
                 s[i][j] = s[j][i] = data.draw(st.integers(-3, 3))
         pt_s_p = (p.transpose() @ LinearMap(s) @ p).rows
         assert signature(s) == signature(pt_s_p)
+
+
+class TestPolarize:
+    def test_recovers_the_symmetric_matrix(self):
+        m = [[1, Fraction(3, 2), 0], [Fraction(3, 2), -2, 5], [0, 5, Fraction(1, 3)]]
+
+        def q(x):
+            return sum(m[i][j] * x[i] * x[j] for i in range(3) for j in range(3))
+
+        got = polarize(q, 3)
+        assert got == m
+        assert all(type(x) is Fraction for row in got for x in row)
 
 
 class TestSerialization:

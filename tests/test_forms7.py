@@ -37,8 +37,8 @@ from msf7.forms7 import (
     sample_orbit,
     stabilizer_algebra,
     stabilizer_dim,
+    _CLASSIFIER_TABLE,
     _classifier_key,
-    _classifier_table,
     _divides,
     _stabilizer_system,
 )
@@ -248,10 +248,10 @@ class TestAgainstReference:
 
 class TestDivisibilityFlag:
     def test_canonical_forms(self):
-        assert _classifier_key(canonical(3).form, False) == (1, (1, 0), True)
-        assert _classifier_key(canonical(4).form, False) == (1, (1, 0), False)
+        assert _classifier_key(canonical(3).form) == (1, (1, 0), True)
+        assert _classifier_key(canonical(4).form) == (1, (1, 0), False)
         for i in (1, 2, 5, 6, 7, 8):
-            assert _classifier_key(canonical(i).form, False)[2] is None
+            assert _classifier_key(canonical(i).form)[2] is None
 
     @staticmethod
     def _pullbacks(orbit):
@@ -262,7 +262,7 @@ class TestDivisibilityFlag:
 
     @pytest.mark.parametrize("orbit", [3, 4])
     def test_constant_on_pullbacks(self, orbit):
-        keys = {_classifier_key(w, False) for w in self._pullbacks(orbit)}
+        keys = {_classifier_key(w) for w in self._pullbacks(orbit)}
         assert keys == {(1, (1, 0), orbit == 3)}
 
     @pytest.mark.parametrize("orbit", [3, 4])
@@ -337,9 +337,9 @@ class TestClassifier:
             assert classify(canonical(i).form) == i
 
     def test_table_separates_without_fallback(self):
-        table, extended = _classifier_table()
-        assert len(table) == 8
-        assert not extended
+        # eight distinct keys, each the key of its canonical form
+        keys = {_classifier_key(canonical(i).form): i for i in range(1, 9)}
+        assert keys == _CLASSIFIER_TABLE
 
     def test_invariant_vector_of_orbit8(self):
         iv = invariant_vector(canonical(8).form)

@@ -1,0 +1,135 @@
+"""Golden outputs of the algebra tables and the catalog's matrix constructions.
+
+The digests below were computed from the implementation before the doubling
+routine, the pair action and the block-diagonal matrices were each folded
+into one helper.  They pin every algebra table and the exact matrices (entry
+types included) that the embeddings and generators return on a fixed,
+seeded corpus of parameters, so any rewrite of those constructions must
+reproduce them bit for bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from msf7.algebras import ALGEBRA_KINDS, build_algebra
+from msf7.exterior import LinearMap
+from msf7.stabilizers import (
+    cayley_so3,
+    embed_gl2pair,
+    embed_sl2pair,
+    embed_so3_33,
+    embed_so4,
+    embed_so4_algebra_matrix,
+    gl2pair_generator,
+    rotation_cs,
+    sample_gl2,
+    sample_sl2pair,
+    sl2pair_generator,
+    so3_33_generator,
+    so4_generator,
+    torus_matrix,
+    unit_quaternion,
+)
+
+ALGEBRA_DIGESTS = {
+    "R": "961f745a059809bb3e6297f2e45637b882ebe4cf904f505d1b5c95aa217752f1",
+    "C": "b9126db750fe93735cfbdce740d2a315ffe0a66a3999d6466ffcd537826507b4",
+    "H": "0296c4f1f07e78ddfaa987a83c6881f81389fe1420455552219e5a069ec1278a",
+    "Hsplit": "fe1f338067332d263fca6f5e599b076af8435d59c0aa03acf31f62b2f084417e",
+    "O": "62cdbbb086dd69dfc0929ddaee517fde0a1b306ccd29a59f197aec5f5e335434",
+    "Osplit": "1a0f017acb6a5ead5d2a94e6d87a4cb55dc79b83e737df48629b309aaa44d1e7",
+    "Osplit_from_Hsplit": "809f7a444f16c327a209c2b56db79a9ec12069b631d8332a3143506d41a455ec",
+}
+
+MATRIX_DIGESTS = {
+    "embed_gl2pair": "399cc52188fe072591b897d025af1c89fa00f4c8c733a0682358914ed69b24ad",
+    "embed_sl2pair": "4dc468a382d5574036a35008a262e9be40f6db7d8425949dd60330b9b60b0164",
+    "embed_so3_33": "abda2c39c2b0108e4c020314f031e4a6c509f15c912a4079128632b692dd1761",
+    "embed_so4": "31022f2436799cb1451ecdc03016b5d6272d157e7d088375ab1da1c432892845",
+    "embed_so4/split": "611ced6f4b0128d8744fae8ef06ef056c701c4a1283f6c69706b0052e045d4ae",
+    "embed_so4_algebra_matrix": "61a74d3b8f4c7437ac8a01a687555afbe16cd5bcbbb41368cd9f240f74108ba0",
+    "embed_so4_algebra_matrix/split":
+        "fc2e9803dcfd700c8c36a47ddffeac4fc7460d5f65f2a027f065057094c1a703",
+    "gl2pair_generator": "f80234ae09971e4e0c4b57e34792777db3925a84f254f867f08ba4ddd915726c",
+    "sl2pair_generator": "2c8563a8feae2ddd69369db580785142af96bf182f064367d707f11df70f562e",
+    "so3_33_generator": "c3c00f1f2a3e05332aaf10b632311b59879284efc15e06353a3d8c444d3759b1",
+    "so4_generator": "63c738cb80002b82ace3708ea1efb8f1bf202cd5815bf717cfcdb81bca4563ee",
+    "so4_generator/split": "b67e7eec9259b302b21c2173f529d553b4defa7b0f9b447f82636d1c3d03b665",
+    "torus_matrix": "8ea2723da1c47af2f028fe30988d679d04b3210eb4580ec3c812ff694979d64b",
+}
+
+
+def _corpus(n: int = 30, seed: int = 20261018) -> list[dict]:
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def mat2(trace_free: bool):
+        p, q, r, s = frac(), frac(), frac(), frac()
+        return [[p, q], [r, -p if trace_free else s]]
+
+    draws = []
+    for _ in range(n):
+        draws.append({
+            "a": unit_quaternion(frac(), frac(), frac()),
+            "b": unit_quaternion(frac(), frac(), frac()),
+            "sl2": sample_sl2pair(rng),
+            "so3": cayley_so3(frac(), frac(), frac()),
+            "gl2": (sample_gl2(rng), sample_gl2(rng)),
+            "x": [frac() for _ in range(3)],
+            "y": [frac() for _ in range(3)],
+            "tx": mat2(True),
+            "ty": mat2(True),
+            "s": (frac(), frac(), frac()),
+            "mx": mat2(False),
+            "my": mat2(False),
+            "th": rotation_cs(frac()),
+            "rh": rotation_cs(frac()),
+        })
+    return draws
+
+
+CASES = {
+    "embed_so4": lambda d: embed_so4(d["a"], d["b"]),
+    "embed_so4/split": lambda d: embed_so4(d["a"], d["b"], split=True),
+    "embed_so4_algebra_matrix": lambda d: embed_so4_algebra_matrix(d["a"], d["b"]),
+    "embed_so4_algebra_matrix/split":
+        lambda d: embed_so4_algebra_matrix(d["a"], d["b"], split=True),
+    "embed_sl2pair": lambda d: embed_sl2pair(*d["sl2"]),
+    "so4_generator": lambda d: so4_generator(d["x"], d["y"]),
+    "so4_generator/split": lambda d: so4_generator(d["x"], d["y"], split=True),
+    "sl2pair_generator": lambda d: sl2pair_generator(d["tx"], d["ty"]),
+    "embed_so3_33": lambda d: embed_so3_33(d["so3"]),
+    "embed_gl2pair": lambda d: embed_gl2pair(*d["gl2"]),
+    "so3_33_generator": lambda d: so3_33_generator(*d["s"]),
+    "gl2pair_generator": lambda d: gl2pair_generator(d["mx"], d["my"]),
+    "torus_matrix": lambda d: torus_matrix(d["th"], d["rh"]),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _matrix_text(m) -> str:
+    rows = m.rows if isinstance(m, LinearMap) else m
+    return json.dumps([[repr(x) for x in row] for row in rows])
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_algebra_table_is_unchanged(kind):
+    text = json.dumps(build_algebra(kind).to_json(), sort_keys=True)
+    assert _digest(text) == ALGEBRA_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matrices_are_unchanged(name):
+    text = "\n".join(_matrix_text(CASES[name](d)) for d in _corpus())
+    assert _digest(text) == MATRIX_DIGESTS[name]

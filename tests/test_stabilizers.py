@@ -177,6 +177,15 @@ class TestEmbedSO3AndGL2:
         with pytest.raises(ValueError, match="invertible"):
             embed_gl2pair([[1, 0], [0, 0]], [[1, 0], [0, 1]])
 
+    def test_block_shapes_checked(self):
+        one, three = [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        with pytest.raises(ValueError):
+            embed_gl2pair(three, one)
+        with pytest.raises(ValueError):
+            gl2pair_generator(one, three)
+        with pytest.raises(ValueError):
+            gl2pair_generator(one, [[1, 0, 0], [0, 1, 0]])
+
     def test_cayley_rotations_stabilize_orbit4(self):
         w4 = canonical(4).form
         for _ in range(25):
