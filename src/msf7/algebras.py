@@ -112,8 +112,9 @@ class AlgebraElement:
 
 
 def multiply(t: AlgebraTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    if len(x.coords) != t.dim or len(y.coords) != t.dim:
-        raise ValueError("dimension mismatch")
+    for f in (x, y):
+        if f.table is not t and f.table != t:
+            raise ValueError("elements belong to different algebras")
     out = [_F0] * t.dim
     for i, xi in enumerate(x.coords):
         if not xi:

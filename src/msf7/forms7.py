@@ -40,7 +40,6 @@ from .exterior import (
     pullback,
     rank,
     signature,
-    wedge,
 )
 
 ORBIT_IDS = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -175,6 +174,9 @@ def _require_3form(w: KForm) -> None:
 _TRIPLES = tuple(combinations(range(1, DIM + 1), 3))
 _TRIPLE_INDEX = {t: k for k, t in enumerate(_TRIPLES)}
 _PAIR_INDEX = {t: k for k, t in enumerate(combinations(range(1, DIM + 1), 2))}
+# (column of A[m][p], column of A[p][m]) in the stabilizer system, m < p
+_ANTISYMMETRIC_COLUMNS = tuple((m * DIM + p, p * DIM + m)
+                               for m, p in combinations(range(DIM), 2))
 
 
 def _scaled_coefficients(w: KForm) -> tuple[list[int], int]:
@@ -263,11 +265,28 @@ def b_signature(w: KForm) -> tuple[int, int]:
     return (max(p, n), min(p, n))
 
 
+@cache
+def _one_form_table() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each 4-set q0 < q1 < q2 < q3 (lexicographic), the entries
+    (i, k, sign): e^(q_i) ^ e^(triple k) = sign e^q, with k the triple q
+    without q_i and sign (-1)^i."""
+    return tuple(
+        tuple((q[i] - 1, _TRIPLE_INDEX[q[:i] + q[i + 1:]], (-1) ** i) for i in range(4))
+        for q in combinations(range(1, DIM + 1), 4))
+
+
 def _divides(covector, w: KForm) -> bool:
     """True iff the 1-form with these coordinates wedges w to zero, i.e.
-    w = covector ^ sigma for some 2-form sigma (covector nonzero)."""
-    ell = KForm(1, {(k + 1,): x for k, x in enumerate(covector)})
-    return wedge(ell, w).is_zero()
+    w = covector ^ sigma for some 2-form sigma (covector nonzero).
+
+    Both sides are scaled to integers; the 35 coefficients of l ^ w are read
+    off the one-form table.
+    """
+    d = math.lcm(*(x.denominator for x in covector))
+    ell = [x.numerator * (d // x.denominator) for x in covector]
+    c, _ = _scaled_coefficients(w)
+    return not any(sum(s * ell[i] * c[k] for i, k, s in entries)
+                   for entries in _one_form_table())
 
 
 @cache
@@ -310,17 +329,19 @@ def stabilizer_dim(w: KForm) -> int:
 
 
 def compact_dim(w: KForm) -> int:
-    """Dimension of the stabilizer algebra intersected with the antisymmetric
-    matrices, via one joint rank computation.  Only meaningful at the
-    preferred representatives (the intersection is basis dependent)."""
+    """Dimension of the stabilizer algebra intersected with so(7), the
+    antisymmetric matrices.  Only meaningful at the preferred representatives
+    (the intersection is basis dependent).
+
+    so(7) is parametrized by its 21 entries a_mp, m < p, with A[m][p] = a_mp
+    and A[p][m] = -a_mp, a bijection from Q^21.  The stabilizer system
+    restricted to it is the 35 x 21 matrix whose (m, p) column is column
+    m*7+p minus column p*7+m of the 35 x 49 system, and the intersection is
+    its kernel.
+    """
     rows = _stabilizer_system(w)
-    for m in range(DIM):
-        for p in range(m, DIM):
-            row = [0] * (DIM * DIM)
-            row[m * DIM + p] += 1
-            row[p * DIM + m] += 1
-            rows.append(row)
-    return DIM * DIM - rank(rows)
+    restricted = [[row[a] - row[b] for a, b in _ANTISYMMETRIC_COLUMNS] for row in rows]
+    return len(_ANTISYMMETRIC_COLUMNS) - rank(restricted)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,13 @@ of the bound.  NO is only returned with a proof: a divisibility obstruction,
 an identically-zero form against a nonzero target, or a positive/negative
 definite functional of the cup form whose coordinate bounds fall inside the
 searched box.  Anything else unresolved at the bound is UNKNOWN.
+
+Proofs are tried before the enumeration.  An identically-zero form against a
+nonzero target is NO without a search.  When a definite functional bounds
+every solution by some box b <= bound, only the shells up to b are
+enumerated: they contain every solution, so the first witness in shell order,
+and with it the verdict, is the one the full box would give, in (2b+1)^d
+candidates instead of (2 bound+1)^d.
 """
 
 from __future__ import annotations
@@ -243,20 +250,26 @@ def _definite_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
 
 def _search(model: CohomologyModel, dim: int, qvec, target, extra_ok, bound: int,
             witness_split) -> Verdict:
-    """Shared bounded search: find x with qvec(x) == target and extra_ok(x)."""
+    """Shared bounded search: find x with qvec(x) == target and extra_ok(x).
+
+    The NO proofs are tried first; a definite functional's box, when it is
+    within the bound, limits the shells enumerated (see the module notes).
+    """
     target = tuple(target)
-    for x in _shell_vectors(dim, bound):
+    zero_form = all(v == 0 for row in model.cup for cell in row for v in cell)
+    if zero_form and any(target):
+        return Verdict(NO, None, bound,
+                       "cup form is identically zero but the target class is not")
+    box = _definite_exhaustion_bound(qvec, dim, model.r4, target)
+    exhaustive = box is not None and box <= bound
+    for x in _shell_vectors(dim, box if exhaustive else bound):
         if qvec(x) == target and extra_ok(x):
             return Verdict(ADMITS, witness_split(x), bound)
-    if all(v == 0 for row in model.cup for cell in row for v in cell):
-        if any(target):
-            return Verdict(NO, None, bound,
-                           "cup form is identically zero but the target class is not")
+    if zero_form:
         # target zero and form zero: the congruence side must have failed
         return Verdict(UNKNOWN, None, bound,
                        "no admissible congruence representative in the box")
-    box = _definite_exhaustion_bound(qvec, dim, model.r4, target)
-    if box is not None and box <= bound:
+    if exhaustive:
         return Verdict(NO, None, bound,
                        f"definite functional bounds all solutions by {box}; "
                        "search was exhaustive")

@@ -147,6 +147,17 @@ class TestAlgebraLaws:
         with pytest.raises(ValueError):
             multiply(H, H.unit(), C.unit())
 
+    def test_factors_from_another_algebra_rejected(self):
+        # Hsplit's j squares to +1, H's to -1: a mixed product has no meaning
+        H, Hs = build_algebra("H"), build_algebra("Hsplit")
+        assert (H.basis(2) * H.basis(2)).coords == (-1, 0, 0, 0)
+        with pytest.raises(ValueError, match="different algebras"):
+            H.basis(2) * Hs.basis(2)
+        with pytest.raises(ValueError, match="different algebras"):
+            multiply(H, Hs.basis(2), Hs.basis(2))
+        with pytest.raises(ValueError, match="different algebras"):
+            multiply(H, H.basis(2), Hs.basis(2))
+
 
 class TestTripleForm:
     def test_octonions_give_orbit8(self):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msf7.exterior import (
@@ -19,6 +19,7 @@ from msf7.exterior import (
     basis_vector,
     interior,
     pullback,
+    rank,
     signature,
     wedge,
 )
@@ -44,7 +45,7 @@ from msf7.forms7 import (
 )
 from msf7.stabilizers import in_matrix_span
 
-from conftest import coefficients, kforms
+from conftest import coefficients, kforms, vectors
 
 
 def alpha(*idx):
@@ -79,6 +80,27 @@ def reference_stabilizer_system(w: KForm) -> list[list[Fraction]]:
             row[(m - 1) * DIM + (r - 1)] += w.coefficient((p, q, m))
         rows.append(row)
     return rows
+
+
+def reference_compact_dim(w: KForm) -> int:
+    """compact_dim as one joint rank: the 35 x 49 stabilizer system stacked
+    on the 28 rows A[m][p] + A[p][m] = 0, m <= p."""
+    rows = _stabilizer_system(w)
+    for m in range(DIM):
+        for p in range(m, DIM):
+            row = [0] * (DIM * DIM)
+            row[m * DIM + p] += 1
+            row[p * DIM + m] += 1
+            rows.append(row)
+    return DIM * DIM - rank(rows)
+
+
+def one_form(covector) -> KForm:
+    return KForm(1, {(k + 1,): x for k, x in enumerate(covector)})
+
+
+def reference_divides(covector, w: KForm) -> bool:
+    return wedge(one_form(covector), w).is_zero()
 
 
 def reference_key(w: KForm) -> tuple:
@@ -265,6 +287,19 @@ class TestDivisibilityFlag:
         keys = {_classifier_key(w) for w in self._pullbacks(orbit)}
         assert keys == {(1, (1, 0), orbit == 3)}
 
+    @settings(max_examples=40, deadline=None)
+    @given(covector=vectors(), w=st.one_of(kforms(degree=3, max_terms=8), dense_3forms()))
+    def test_matches_wedge_reference(self, covector, w):
+        assume(any(covector))
+        assert _divides(covector, w) == reference_divides(covector, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(covector=vectors(), sigma=kforms(degree=2, max_terms=6))
+    def test_divisible_forms_are_detected(self, covector, sigma):
+        assume(any(covector))
+        w = wedge(one_form(covector), sigma)
+        assert _divides(covector, w) and reference_divides(covector, w)
+
     @pytest.mark.parametrize("orbit", [3, 4])
     def test_every_nonzero_row_gives_the_flag(self, orbit):
         for w in [canonical(orbit).form] + self._pullbacks(orbit):
@@ -329,6 +364,31 @@ class TestCompactDim:
                 canonical(4).form, canonical(5).form, canonical(6).form,
                 canonical(7).form, canonical(8).form]
         assert [compact_dim(w) for w in reps] == [2, 2, 9, 3, 6, 4, 6, 14]
+
+    @pytest.mark.parametrize("orbit,variant", [(i, "standard") for i in range(1, 9)]
+                             + [(i, "prime") for i in (2, 5, 6, 7)])
+    def test_every_canonical_variant_matches_reference(self, orbit, variant):
+        w = canonical(orbit, variant).form
+        assert compact_dim(w) == reference_compact_dim(w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=kforms(degree=3, max_terms=8))
+    def test_sparse_forms_match_reference(self, w):
+        assert compact_dim(w) == reference_compact_dim(w)
+
+    @settings(max_examples=20, deadline=None)
+    @given(w=dense_3forms())
+    def test_dense_forms_match_reference(self, w):
+        assert compact_dim(w) == reference_compact_dim(w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=degenerate_3forms())
+    def test_non_multisymplectic_forms_match_reference(self, w):
+        assert compact_dim(w) == reference_compact_dim(w)
+
+    def test_zero_form(self):
+        w = KForm.zero(3)
+        assert compact_dim(w) == reference_compact_dim(w) == 21
 
 
 class TestClassifier:

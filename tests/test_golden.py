@@ -1,11 +1,15 @@
-"""Golden outputs of the algebra tables and the catalog's matrix constructions.
+"""Golden outputs of the algebra tables, the catalog's matrix constructions
+and the stabilizer dimensions.
 
-The digests below were computed from the implementation before the doubling
-routine, the pair action and the block-diagonal matrices were each folded
-into one helper.  They pin every algebra table and the exact matrices (entry
-types included) that the embeddings and generators return on a fixed,
-seeded corpus of parameters, so any rewrite of those constructions must
-reproduce them bit for bit.
+The algebra and matrix digests were computed from the implementation before
+the doubling routine, the pair action and the block-diagonal matrices were
+each folded into one helper.  They pin every algebra table and the exact
+matrices (entry types included) that the embeddings and generators return on
+a fixed, seeded corpus of parameters, so any rewrite of those constructions
+must reproduce them bit for bit.  The stabilizer digests were computed while
+compact_dim still ranked the 63 x 49 system (the stabilizer system stacked on
+the symmetric part of A); they pin (stabilizer_dim, compact_dim) on a seeded
+corpus of 3-forms.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from msf7.algebras import ALGEBRA_KINDS, build_algebra
-from msf7.exterior import LinearMap
+from msf7.exterior import DIM, KForm, LinearMap, pullback
+from msf7.forms7 import canonical, compact_dim, stabilizer_dim
 from msf7.stabilizers import (
     cayley_so3,
     embed_gl2pair,
@@ -133,3 +139,48 @@ def test_algebra_table_is_unchanged(kind):
 def test_matrices_are_unchanged(name):
     text = "\n".join(_matrix_text(CASES[name](d)) for d in _corpus())
     assert _digest(text) == MATRIX_DIGESTS[name]
+
+
+STABILIZER_DIGESTS = {
+    "canonical": "1033138cdc90ef022c9083e10bac5f7c5fd8a048a2331f42f7db195265069872",
+    "pullbacks": "a60800f7f874523c26ee829f47957c1d7cbe8df648eb8e7ab24943c6547cca7f",
+    "random": "c9d6d78ebb4c8564cfb90f310f42c77e333ffc820e6c5d53f269b805b784601a",
+}
+
+
+def _form_corpus(seed: int = 20261018) -> dict[str, list[KForm]]:
+    """The twelve canonical forms and their pullbacks by random signed
+    permutations (orthogonal, so the compact part keeps its dimension),
+    pullbacks of each by a random rational map, and random sparse rational
+    forms (the zero form among them)."""
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    def invertible():
+        while True:
+            g = LinearMap([[frac() for _ in range(DIM)] for _ in range(DIM)])
+            if g.is_invertible():
+                return g
+
+    def signed_permutation():
+        perm = rng.sample(range(DIM), DIM)
+        return LinearMap([[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(DIM)]
+                          for i in range(DIM)])
+
+    forms = ([canonical(i).form for i in range(1, 9)]
+             + [canonical(i, "prime").form for i in (2, 5, 6, 7)])
+    triples = list(combinations(range(1, DIM + 1), 3))
+    return {
+        "canonical": forms + [pullback(signed_permutation(), w) for w in forms],
+        "pullbacks": [pullback(invertible(), w) for w in forms],
+        "random": [KForm(3, {t: frac() for t in rng.sample(triples, rng.randint(0, 10))})
+                   for _ in range(24)],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(STABILIZER_DIGESTS))
+def test_stabilizer_dimensions_are_unchanged(name):
+    dims = [(stabilizer_dim(w), compact_dim(w)) for w in _form_corpus()[name]]
+    assert _digest(json.dumps(dims)) == STABILIZER_DIGESTS[name]

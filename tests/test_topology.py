@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from itertools import product
 
 import pytest
@@ -13,6 +14,8 @@ from msf7.topology import (
     UNKNOWN,
     HypothesisError,
     ModelError,
+    Verdict,
+    _definite_exhaustion_bound,
     _shell_vectors,
     bundled_model,
     bundled_model_names,
@@ -263,3 +266,97 @@ class TestShellEnumeration:
                  for v in product(range(-s, s + 1), repeat=dim)
                  if max(map(abs, v), default=0) == s]
         assert list(_shell_vectors(dim, bound)) == brute
+
+
+def reference_search(model, type_id: int, bound: int) -> Verdict:
+    """check_type for types 1, 2 and 4 once their search is reached: scan the
+    whole box in shell order, and only then look for a proof of NO."""
+    r2 = model.r2
+
+    def cup(e, f):
+        return cup_eval(model, e, f)
+
+    if type_id == 4:
+        dim, target, split = r2, tuple(v // 2 for v in model.p1), (lambda x: (x,))
+
+        def q(x):
+            return cup(x, x)
+    else:
+        dim, split = 2 * r2, (lambda x: (x[:r2], x[r2:]))
+        if type_id == 2:
+            target = tuple(v // 2 for v in model.p1)
+
+            def q(x):
+                e, f = split(x)
+                return tuple(map(sum, zip(cup(e, e), cup(f, f), cup(e, f))))
+        else:
+            target = tuple(model.p1)
+
+            def q(x):
+                e, f = split(x)
+                return tuple(map(sum, zip(cup(e, e), cup(f, f))))
+
+    def ok(x):
+        return type_id != 1 or all((a + b - w) % 2 == 0
+                                   for a, b, w in zip(*split(x), model.w2))
+
+    box = sorted(product(range(-bound, bound + 1), repeat=dim),
+                 key=lambda x: (max(map(abs, x), default=0), x))
+    for x in box:
+        if q(x) == target and ok(x):
+            return Verdict(ADMITS, split(x), bound)
+    if not any(v for row in model.cup for cell in row for v in cell):
+        if any(target):
+            return Verdict(NO, None, bound,
+                           "cup form is identically zero but the target class is not")
+        return Verdict(UNKNOWN, None, bound,
+                       "no admissible congruence representative in the box")
+    proof = _definite_exhaustion_bound(q, dim, model.r4, target)
+    if proof is not None and proof <= bound:
+        return Verdict(NO, None, bound,
+                       f"definite functional bounds all solutions by {proof}; "
+                       "search was exhaustive")
+    return Verdict(UNKNOWN, None, bound, "bounded search inconclusive")
+
+
+def _random_search_models(n: int, seed: int = 4242):
+    """(model, type, bound) triples whose verdict comes from the search:
+    spin with even p1 for types 2 and 4, any w2 for type 1.  Every other
+    model has a planted solution of max-norm at most 2."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(n):
+        type_id = (1, 2, 4)[k % 3]
+        r2, r4 = rng.choice((0, 1, 1, 2, 2)), rng.randint(1, 2)
+        cup = [[None] * r2 for _ in range(r2)]
+        for i in range(r2):
+            for j in range(i, r2):
+                cup[i][j] = cup[j][i] = [rng.randint(-2, 2) for _ in range(r4)]
+        spin = type_id != 1
+        dim = r2 if type_id == 4 else 2 * r2
+        if k % 2:
+            x = [rng.randint(-2, 2) for _ in range(dim)]
+            e, f = (x, [0] * r2) if type_id == 4 else (x[:r2], x[r2:])
+            model = make_model(model_dict(r2=r2, r4=r4, cup=cup, p1=[0] * r4, w2=[0] * r2))
+            value = [a + b + c * (type_id == 2) for a, b, c in
+                     zip(cup_eval(model, e, e), cup_eval(model, f, f), cup_eval(model, e, f))]
+            p1 = [v * (2 if spin else 1) for v in value]
+            w2 = [0] * r2 if spin else [(a + b) % 2 for a, b in zip(e, f)]
+        else:
+            p1 = [rng.randint(-6, 6) * (2 if spin else 1) for _ in range(r4)]
+            w2 = [0] * r2 if spin else [rng.randint(0, 1) for _ in range(r2)]
+        bound = rng.randint(1, 2 if dim > 2 else 5)
+        model = make_model(model_dict(r2=r2, r4=r4, cup=cup, p1=p1, w2=w2, spin=spin))
+        cases.append((model, type_id, bound))
+    return cases
+
+
+class TestSearchAgainstFullBox:
+    def test_verdicts_match_full_box_search(self):
+        statuses = set()
+        for model, type_id, bound in _random_search_models(210):
+            v = check_type(model, type_id, bound)
+            assert v == reference_search(model, type_id, bound), (model, type_id, bound)
+            statuses.add((v.status, v.reason.split()[0] if v.reason else ""))
+        # the corpus reaches every outcome of the search
+        assert statuses == {(ADMITS, ""), (NO, "cup"), (NO, "definite"), (UNKNOWN, "bounded")}
