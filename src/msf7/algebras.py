@@ -245,28 +245,18 @@ def _build_reals() -> AlgebraTable:
     return _table_from_mult("R", 1, ((( _F1,),),), ((_F1,),), 0, ("1",))
 
 
+def split_quaternion_coords(m) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Coordinates (a, b, c, d) of a 2x2 rational matrix m = a 1 + b i + c j + d k
+    in the matrix model of the split quaternions."""
+    (m11, m12), (m21, m22) = [[scal(x) for x in row] for row in m]
+    return ((m11 + m22) / 2, (m12 - m21) / 2, (m12 + m21) / 2, (m11 - m22) / 2)
+
+
 def _build_split_quaternions() -> AlgebraTable:
     # matrix model: i = [[0,1],[-1,0]], j = [[0,1],[1,0]], k = i j = [[1,0],[0,-1]]
-    one = ((_F1, _F0), (_F0, _F1))
-    i = ((_F0, _F1), (-_F1, _F0))
-    j = ((_F0, _F1), (_F1, _F0))
-    k = ((_F1, _F0), (_F0, -_F1))
-    mats = [one, i, j, k]
-
-    def mat_mul(a, b):
-        return tuple(tuple(sum(a[r][t] * b[t][c] for t in range(2)) for c in range(2))
-                     for r in range(2))
-
-    def to_coords(m):
-        # 1 = [[a,0],[0,a]] part etc.; decompose m = a*1 + b*i + c*j + d*k
-        a = (m[0][0] + m[1][1]) / 2
-        d = (m[0][0] - m[1][1]) / 2
-        b = (m[0][1] - m[1][0]) / 2
-        c = (m[0][1] + m[1][0]) / 2
-        return (a, b, c, d)
-
-    mult = tuple(tuple(to_coords(mat_mul(mats[i_], mats[j_])) for j_ in range(4))
-                 for i_ in range(4))
+    mats = [LinearMap(m) for m in (((1, 0), (0, 1)), ((0, 1), (-1, 0)),
+                                   ((0, 1), (1, 0)), ((1, 0), (0, -1)))]
+    mult = tuple(tuple(split_quaternion_coords((x @ y).rows) for y in mats) for x in mats)
     conj = ((_F1, _F0, _F0, _F0), (_F0, -_F1, _F0, _F0),
             (_F0, _F0, -_F1, _F0), (_F0, _F0, _F0, -_F1))
     return _table_from_mult("Hsplit", 4, mult, conj, 0, ("1", "i", "j", "k"))

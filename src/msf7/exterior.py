@@ -34,11 +34,15 @@ DIM = 7
 
 def scal(x) -> Fraction:
     """Coerce ints, strings like '-1/2', and Fractions to an exact Scalar;
-    bools are refused, so a JSON ``true`` is never read as 1."""
+    bools are refused, so a JSON ``true`` is never read as 1, and a zero
+    denominator such as '1/0' raises ValueError like any other bad string."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {x!r}") from None
     raise TypeError(f"not an exact scalar: {x!r}")
 
 

@@ -31,6 +31,7 @@ from .algebras import (
     octonion_form_basis,
     sl2pair_basis,
     split_octonion_form_basis,  # noqa: F401  (re-exported)
+    split_quaternion_coords,
     split_so4_basis,
 )
 from .exterior import KForm, LinearMap, _echelon, pullback, scal, wedge
@@ -82,26 +83,9 @@ def cayley_so3(s1, s2, s3) -> tuple:
     """Rational special orthogonal 3x3 matrix (I - S)(I + S)^-1 for the
     antisymmetric S built from the three parameters."""
     s1, s2, s3 = scal(s1), scal(s2), scal(s3)
-    S = [[_F0, s1, s2], [-s1, _F0, s3], [-s2, -s3, _F0]]
-    I3 = [[_F1 if i == j else _F0 for j in range(3)] for i in range(3)]
-    IpS = LinearMap([[I3[i][j] + S[i][j] for j in range(3)] for i in range(3)])
-    ImS = LinearMap([[I3[i][j] - S[i][j] for j in range(3)] for i in range(3)])
-    return (ImS @ IpS.inverse()).rows
-
-
-def _mat2_to_split_quaternion(m, t: AlgebraTable):
-    """2x2 rational matrix -> coordinates in the split-quaternion table."""
-    (a11, a12), (a21, a22) = m
-    return t.element([
-        (scal(a11) + scal(a22)) / 2,
-        (scal(a12) - scal(a21)) / 2,
-        (scal(a12) + scal(a21)) / 2,
-        (scal(a11) - scal(a22)) / 2,
-    ])
-
-
-def _det2(m) -> Fraction:
-    return scal(m[0][0]) * scal(m[1][1]) - scal(m[0][1]) * scal(m[1][0])
+    S = LinearMap([[0, s1, s2], [-s1, 0, s3], [-s2, -s3, 0]])
+    eye = LinearMap.identity(3)
+    return ((eye - S) @ (eye + S).inverse()).rows
 
 
 # --- embeddings ----------------------------------------------------------------
@@ -117,10 +101,6 @@ def _as_quaternion(t: AlgebraTable, q):
 
 def _sandwich(left, right):
     return lambda p: left * p * right
-
-
-def _bracket(left, right):
-    return lambda p: left * p - p * right
 
 
 def _pair_action(base: AlgebraTable, t: AlgebraTable, fp, fq):
@@ -193,14 +173,14 @@ def embed_sl2pair(a, b) -> LinearMap:
     """7x7 matrix of (p, q) -> (a p a^-1, a q b^-1) for 2x2 rational matrices
     with det a, det b = +-1 and det(ab) = 1; stabilizes the orbit-2 alternate
     (and the orbit-5 variant that differs from it by a volume form)."""
-    da, db = _det2(a), _det2(b)
+    da, db = LinearMap(a).det(), LinearMap(b).det()
     if da * da != 1 or db * db != 1:
         raise ValueError("parameters must have determinant +1 or -1")
     if da * db != 1:
         raise ValueError("determinant of the product must be 1")
     Ht = build_algebra("Hsplit")
-    qa = _mat2_to_split_quaternion(a, Ht)
-    qb = _mat2_to_split_quaternion(b, Ht)
+    qa = Ht.element(split_quaternion_coords(a))
+    qb = Ht.element(split_quaternion_coords(b))
     qai = conjugate(Ht, qa).scale(1 / da)
     qbi = conjugate(Ht, qb).scale(1 / db)
     t = build_algebra("Osplit_from_Hsplit")
@@ -227,49 +207,10 @@ def embed_so3_33(A) -> LinearMap:
 def embed_gl2pair(a, b) -> LinearMap:
     """det(a)^-1 on e1, det(b)^-1 on e2, a on (e3,e4), b on (e5,e6),
     det(ab) on e7; stabilizes the orbit-1 representative."""
-    da, db = _det2(a), _det2(b)
+    da, db = LinearMap(a).det(), LinearMap(b).det()
     if not da or not db:
         raise ValueError("parameters must be invertible")
     return _block_diag([[1 / da]], [[1 / db]], a, b, [[da * db]])
-
-
-# --- infinitesimal generators (exact derivatives of the embeddings) -----------
-
-def so4_generator(x, y, split: bool = False) -> LinearMap:
-    """Derivative of the unit-quaternion pair action along imaginary
-    directions x, y (3 coordinates each)."""
-    H = build_algebra("H")
-    qx = H.element([0] + [scal(c) for c in x])
-    qy = H.element([0] + [scal(c) for c in y])
-    t = build_algebra("Osplit" if split else "O")
-    basis = split_so4_basis() if split else octonion_form_basis()
-    fq = _bracket(qx, qy) if split else _bracket(qy, qx)
-    fn = _pair_action(H, t, _bracket(qx, qx), fq)
-    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
-
-
-def sl2pair_generator(x, y) -> LinearMap:
-    """Derivative of the split pair action along traceless 2x2 directions."""
-    Ht = build_algebra("Hsplit")
-    qx = _mat2_to_split_quaternion(x, Ht)
-    qy = _mat2_to_split_quaternion(y, Ht)
-    if qx.coords[0] or qy.coords[0]:
-        raise ValueError("generator parameters must be traceless")
-    t = build_algebra("Osplit_from_Hsplit")
-    fn = _pair_action(Ht, t, _bracket(qx, qx), _bracket(qx, qy))
-    basis = sl2pair_basis()
-    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
-
-
-def so3_33_generator(s1, s2, s3) -> LinearMap:
-    S = [[_F0, scal(s1), scal(s2)], [-scal(s1), _F0, scal(s3)], [-scal(s2), -scal(s3), _F0]]
-    return _block_diag([[_F0]], S, S)
-
-
-def gl2pair_generator(x, y) -> LinearMap:
-    trx = scal(x[0][0]) + scal(x[1][1])
-    trY = scal(y[0][0]) + scal(y[1][1])
-    return _block_diag([[-trx]], [[-trY]], x, y, [[trx + trY]])
 
 
 def in_matrix_span(candidates: list[LinearMap], target: LinearMap) -> bool:
@@ -308,11 +249,6 @@ def torus_from_rotation_pair(cs1, cs2) -> LinearMap:
     theta = compose_angles(negate_angle(a), b)
     rho = compose_angles(negate_angle(a), negate_angle(b))
     return torus_matrix(theta, rho)
-
-
-def _rotation_as_sl2(cs) -> list:
-    c, s = scal(cs[0]), scal(cs[1])
-    return [[c, -s], [s, c]]
 
 
 # --- the named-transformation catalog -------------------------------------------
@@ -418,14 +354,18 @@ _TORUS_SAMPLE_ANGLES = ((Fraction(3, 5), Fraction(4, 5)),
                         (Fraction(8, 17), Fraction(15, 17)))
 
 
+def _entry(anchor: str, ok: bool, detail: str = "") -> dict:
+    return {"anchor": anchor, "status": "pass" if ok else "fail",
+            **({"detail": detail} if detail else {})}
+
+
 def identity_checks() -> list[dict]:
     """Evaluate every catalogued identity as exact form equality (orbit
     membership where that is the claim); returns one entry per anchor."""
     report = []
 
     def add(anchor: str, ok: bool, detail: str = ""):
-        report.append({"anchor": anchor, "status": "pass" if ok else "fail",
-                       **({"detail": detail} if detail else {})})
+        report.append(_entry(anchor, ok, detail))
 
     w = {i: canonical(i).form for i in (2, 5, 6, 7, 8)}
     w2p = canonical(2, "prime").form
@@ -460,7 +400,7 @@ def identity_checks() -> list[dict]:
     embed_torus_ok = True
     for cs1 in _TORUS_SAMPLE_ANGLES:
         for cs2 in _TORUS_SAMPLE_ANGLES:
-            m = embed_sl2pair(_rotation_as_sl2(cs1), _rotation_as_sl2(cs2))
+            m = embed_sl2pair(rotation_matrix(cs1), rotation_matrix(cs2))
             embed_torus_ok &= m == torus_from_rotation_pair(cs1, cs2)
     add("torus-elements-arise-from-rotation-pairs", embed_torus_ok)
 
@@ -490,9 +430,8 @@ def verify_paper(draws: int = 10, seed: int = 0) -> list[dict]:
     for orbit_id, expected, w in zip(range(1, 9), EXPECTED_COMPACT_DIMS,
                                      _preferred_representatives()):
         got = compact_dim(w)
-        report.append({"anchor": f"compact-dimension-orbit-{orbit_id}",
-                       "status": "pass" if got == expected else "fail",
-                       "detail": f"expected {expected}, computed {got}"})
+        report.append(_entry(f"compact-dimension-orbit-{orbit_id}", got == expected,
+                             f"expected {expected}, computed {got}"))
 
     w1 = canonical(1).form
     w2p = canonical(2, "prime").form
@@ -501,47 +440,38 @@ def verify_paper(draws: int = 10, seed: int = 0) -> list[dict]:
     w7 = canonical(7).form
     w8 = canonical(8).form
 
-    def rnd_unit_quat():
-        return unit_quaternion(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                               Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                               Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    def frac():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
     ok8 = ok7 = ok5 = True
     for _ in range(draws):
-        a, b = rnd_unit_quat(), rnd_unit_quat()
+        a = unit_quaternion(frac(), frac(), frac())
+        b = unit_quaternion(frac(), frac(), frac())
         m = embed_so4(a, b)
         ok8 &= verify_membership(m, w8)
         ok7 &= verify_membership(m, w7)
         ok5 &= verify_membership(embed_so4(a, b, split=True), w5)
-    report.append({"anchor": "embedding-so4-stabilizes-orbit8",
-                   "status": "pass" if ok8 else "fail"})
-    report.append({"anchor": "embedding-so4-stabilizes-orbit7",
-                   "status": "pass" if ok7 else "fail"})
-    report.append({"anchor": "embedding-so4-split-stabilizes-orbit5",
-                   "status": "pass" if ok5 else "fail"})
+    report += [_entry("embedding-so4-stabilizes-orbit8", ok8),
+               _entry("embedding-so4-stabilizes-orbit7", ok7),
+               _entry("embedding-so4-split-stabilizes-orbit5", ok5)]
 
     ok2 = True
     for _ in range(draws):
         a, b = sample_sl2pair(rng)
         ok2 &= verify_membership(embed_sl2pair(a, b), w2p)
-    report.append({"anchor": "embedding-sl2pair-stabilizes-orbit2-alternate",
-                   "status": "pass" if ok2 else "fail"})
+    report.append(_entry("embedding-sl2pair-stabilizes-orbit2-alternate", ok2))
 
     ok4 = True
     for _ in range(draws):
-        A = cayley_so3(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                       Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                       Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        A = cayley_so3(frac(), frac(), frac())
         ok4 &= verify_membership(embed_so3_33(A), w4)
-    report.append({"anchor": "embedding-so3-stabilizes-orbit4",
-                   "status": "pass" if ok4 else "fail"})
+    report.append(_entry("embedding-so3-stabilizes-orbit4", ok4))
 
     ok1 = True
     for _ in range(draws):
         a, b = sample_gl2(rng), sample_gl2(rng)
         ok1 &= verify_membership(embed_gl2pair(a, b), w1)
-    report.append({"anchor": "embedding-gl2pair-stabilizes-orbit1",
-                   "status": "pass" if ok1 else "fail"})
+    report.append(_entry("embedding-gl2pair-stabilizes-orbit1", ok1))
 
     return report
 
@@ -549,7 +479,7 @@ def verify_paper(draws: int = 10, seed: int = 0) -> list[dict]:
 def sample_gl2(rng: random.Random) -> list:
     while True:
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-        if _det2(m):
+        if LinearMap(m).det():
             return m
 
 

@@ -294,66 +294,52 @@ def check_type(model: CohomologyModel, type_id: int, bound: int = DEFAULT_BOUND)
     if bound < 1:
         raise ValueError("bound must be positive")
 
-    if type_id in (5, 6, 7, 8):
-        if not model.orientable:
-            raise HypothesisError("theorem hypothesis not met: model is not orientable")
-        if model.spin:
-            return Verdict(ADMITS, (), bound, "orientable and spin")
-        return Verdict(NO, None, bound, "second Stiefel-Whitney class is nonzero")
+    if type_id in (1, 2):
+        if not model.simply_connected:
+            raise HypothesisError("theorem hypothesis not met: model is not simply connected")
+    elif not model.orientable:
+        raise HypothesisError("theorem hypothesis not met: model is not orientable")
 
     if type_id == 3:
-        if not model.orientable:
-            raise HypothesisError("theorem hypothesis not met: model is not orientable")
         if model.W3_zero:
             return Verdict(ADMITS, (), bound, "integral third Stiefel-Whitney class vanishes")
         return Verdict(NO, None, bound, "integral third Stiefel-Whitney class is nonzero")
-
-    if type_id == 4:
-        if not model.orientable:
-            raise HypothesisError("theorem hypothesis not met: model is not orientable")
-        if not model.spin:
-            return Verdict(NO, None, bound, "second Stiefel-Whitney class is nonzero")
-        half = _halved(model.p1)
-        if half is None:
-            return Verdict(NO, None, bound, "p1 is not divisible by 2")
-        return _search(model, model.r2,
-                       lambda e: cup_eval(model, e, e), half,
-                       lambda e: True, bound, lambda e: (e,))
-
-    if not model.simply_connected:
-        raise HypothesisError("theorem hypothesis not met: model is not simply connected")
+    if type_id != 1 and not model.spin:
+        return Verdict(NO, None, bound, "second Stiefel-Whitney class is nonzero")
+    if type_id >= 5:
+        return Verdict(ADMITS, (), bound, "orientable and spin")
 
     r2 = model.r2
 
     def split(x):
         return (x[:r2], x[r2:])
 
-    if type_id == 2:
-        if not model.spin:
-            return Verdict(NO, None, bound, "second Stiefel-Whitney class is nonzero")
-        half = _halved(model.p1)
-        if half is None:
-            return Verdict(NO, None, bound, "p1 is not divisible by 2")
-
-        def q2(x):
+    if type_id == 1:
+        def q1(x):
             e, f = split(x)
-            return tuple(a + b + c for a, b, c in zip(cup_eval(model, e, e),
-                                                      cup_eval(model, f, f),
-                                                      cup_eval(model, e, f)))
+            return tuple(a + b for a, b in zip(cup_eval(model, e, e),
+                                               cup_eval(model, f, f)))
 
-        return _search(model, 2 * r2, q2, half, lambda x: True, bound, split)
+        def congruent(x):
+            e, f = split(x)
+            return all((a + b - w) % 2 == 0 for a, b, w in zip(e, f, model.w2))
 
-    # type 1
-    def q1(x):
+        return _search(model, 2 * r2, q1, tuple(model.p1), congruent, bound, split)
+
+    half = _halved(model.p1)
+    if half is None:
+        return Verdict(NO, None, bound, "p1 is not divisible by 2")
+    if type_id == 4:
+        return _search(model, r2, lambda e: cup_eval(model, e, e), half,
+                       lambda e: True, bound, lambda e: (e,))
+
+    def q2(x):
         e, f = split(x)
-        return tuple(a + b for a, b in zip(cup_eval(model, e, e),
-                                           cup_eval(model, f, f)))
+        return tuple(a + b + c for a, b, c in zip(cup_eval(model, e, e),
+                                                  cup_eval(model, f, f),
+                                                  cup_eval(model, e, f)))
 
-    def congruent(x):
-        e, f = split(x)
-        return all((a + b - w) % 2 == 0 for a, b, w in zip(e, f, model.w2))
-
-    return _search(model, 2 * r2, q1, tuple(model.p1), congruent, bound, split)
+    return _search(model, 2 * r2, q2, half, lambda x: True, bound, split)
 
 
 def verify_witness(model: CohomologyModel, type_id: int, witness) -> bool:

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msf7.cli import fuzz_iterations, main
 from msf7.exterior import KForm, LinearMap
@@ -82,6 +88,13 @@ class TestClassify:
         path.write_text(json.dumps({"degree": 3, "terms": [{"idx": [1, 2, 3], "coef": coef}]}))
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == "" and "not an exact scalar" in err
+
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"degree": 3, "terms": [{"idx": [1, 2, 7], "coef": "1/0"}]}))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == "" and "zero denominator" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "/no/such/file.json")
@@ -201,3 +214,71 @@ class TestEnvironment:
         monkeypatch.setenv("MSF7_FUZZ_ITERS", "lots")
         with pytest.raises(SystemExit):
             fuzz_iterations()
+
+
+json_values = st.sampled_from(["1/0", "-3/0", "0/0", "1/2", "x", ""]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(doc, prefix=()):
+    """Every key and index path inside a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _run_quietly(argv, stdin_text=""):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+FORM_DOC = canonical(8).form.to_json()
+MODEL_DOC = {"name": "m", "r2": 1, "r4": 1, "cup": [[[1]]], "p1": [4], "w2": [0],
+             "orientable": True, "spin": True, "W3_zero": True,
+             "simply_connected": True}
+
+
+class TestMalformedDocuments:
+    """One field of a valid document replaced by an arbitrary JSON value must
+    give a normal answer or an input error with a message, never an uncaught
+    exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(list(_paths(FORM_DOC))), value=json_values,
+           command=st.sampled_from(["classify", "invariants"]))
+    @example(path=("terms", 0, "coef"), value="1/0", command="classify")
+    def test_form_documents(self, path, value, command):
+        text = json.dumps(_replaced(FORM_DOC, path, value))
+        code, out, err = _run_quietly([command, "-"], text)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(list(_paths(MODEL_DOC))), value=json_values,
+           type_id=st.integers(min_value=1, max_value=8))
+    def test_model_documents(self, tmp_path_factory, path, value, type_id):
+        model = tmp_path_factory.getbasetemp() / "model.json"
+        model.write_text(json.dumps(_replaced(MODEL_DOC, path, value)))
+        code, out, err = _run_quietly(["topo-check", str(model), "--type", str(type_id)])
+        # exit 1 is the documented answer for a well-formed model that fails a
+        # theorem hypothesis (a flag replaced by false)
+        assert code in (0, 2) or (code == 1 and "hypothesis not met" in err)
+        if code != 0:
+            assert out == "" and err.startswith("error:") and "Traceback" not in err

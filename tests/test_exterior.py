@@ -374,6 +374,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not an exact scalar"):
             LinearMap.from_json(data)
 
+    def test_linear_map_json_rejects_zero_denominator(self):
+        data = LinearMap.identity().to_json()
+        data["cols"][2][2] = "1/0"
+        with pytest.raises(ValueError, match="malformed LinearMap JSON: zero denominator"):
+            LinearMap.from_json(data)
+
     def test_kform_json_rejects_bool_coefficient(self):
         with pytest.raises(ValueError, match="not an exact scalar"):
             KForm.from_json({"degree": 3, "terms": [{"idx": [1, 2, 3], "coef": True}]})

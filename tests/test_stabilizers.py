@@ -1,4 +1,4 @@
-"""Transformation catalog, embeddings, infinitesimal checks, identity suite."""
+"""Transformation catalog, embeddings, torus, identity suite, verify_paper."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from msf7.algebras import build_algebra, is_automorphism, multiply
 from msf7.exterior import KForm, LinearMap, pullback
-from msf7.forms7 import canonical, classify, stabilizer_algebra
+from msf7.forms7 import canonical, classify
 from msf7.stabilizers import (
     catalog,
     cayley_so3,
@@ -18,15 +18,10 @@ from msf7.stabilizers import (
     embed_so3_33,
     embed_so4,
     embed_so4_algebra_matrix,
-    gl2pair_generator,
     identity_checks,
-    in_matrix_span,
     rotation_cs,
     sample_gl2,
     sample_sl2pair,
-    sl2pair_generator,
-    so3_33_generator,
-    so4_generator,
     torus_from_rotation_pair,
     torus_matrix,
     unit_quaternion,
@@ -181,10 +176,6 @@ class TestEmbedSO3AndGL2:
         one, three = [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         with pytest.raises(ValueError):
             embed_gl2pair(three, one)
-        with pytest.raises(ValueError):
-            gl2pair_generator(one, three)
-        with pytest.raises(ValueError):
-            gl2pair_generator(one, [[1, 0, 0], [0, 1, 0]])
 
     def test_cayley_rotations_stabilize_orbit4(self):
         w4 = canonical(4).form
@@ -198,43 +189,6 @@ class TestEmbedSO3AndGL2:
         w1 = canonical(1).form
         for _ in range(25):
             assert verify_membership(embed_gl2pair(sample_gl2(rng), sample_gl2(rng)), w1)
-
-
-class TestInfinitesimalGenerators:
-    def test_so4_generators_in_stabilizer_algebra(self):
-        basis8 = stabilizer_algebra(canonical(8).form)
-        basis5 = stabilizer_algebra(canonical(5).form)
-        for _ in range(4):
-            x = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
-            y = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
-            assert in_matrix_span(basis8, so4_generator(x, y))
-            assert in_matrix_span(basis5, so4_generator(x, y, split=True))
-
-    def test_sl2pair_generators_in_stabilizer_algebra(self):
-        basis = stabilizer_algebra(canonical(2, "prime").form)
-        for _ in range(4):
-            x = [[rng.randint(-2, 2), rng.randint(-2, 2)], [rng.randint(-2, 2), 0]]
-            x[1][1] = -x[0][0]
-            y = [[rng.randint(-2, 2), rng.randint(-2, 2)], [rng.randint(-2, 2), 0]]
-            y[1][1] = -y[0][0]
-            assert in_matrix_span(basis, sl2pair_generator(x, y))
-
-    def test_traceless_enforced(self):
-        with pytest.raises(ValueError, match="traceless"):
-            sl2pair_generator([[1, 0], [0, 1]], [[0, 0], [0, 0]])
-
-    def test_so3_and_gl2_generators(self):
-        basis4 = stabilizer_algebra(canonical(4).form)
-        basis1 = stabilizer_algebra(canonical(1).form)
-        for _ in range(4):
-            assert in_matrix_span(basis4, so3_33_generator(rng.randint(-2, 2),
-                                                           rng.randint(-2, 2),
-                                                           rng.randint(-2, 2)))
-            x = [[rng.randint(-2, 2), rng.randint(-2, 2)],
-                 [rng.randint(-2, 2), rng.randint(-2, 2)]]
-            y = [[rng.randint(-2, 2), rng.randint(-2, 2)],
-                 [rng.randint(-2, 2), rng.randint(-2, 2)]]
-            assert in_matrix_span(basis1, gl2pair_generator(x, y))
 
 
 class TestTorus:
