@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .exterior import KForm, LinearMap, SymmetricMatrix, kernel, polarize, scal, signature
 
@@ -262,34 +263,28 @@ def _build_split_quaternions() -> AlgebraTable:
     return _table_from_mult("Hsplit", 4, mult, conj, 0, ("1", "i", "j", "k"))
 
 
-_CACHE: dict[str, AlgebraTable] = {}
-
 ALGEBRA_KINDS = ("R", "C", "H", "Hsplit", "O", "Osplit", "Osplit_from_Hsplit")
 
 
+@cache
 def build_algebra(kind: str) -> AlgebraTable:
     """Return the named composition algebra (cached; tables are immutable)."""
     if kind not in ALGEBRA_KINDS:
         raise ValueError(f"unknown algebra kind {kind!r}; expected one of {ALGEBRA_KINDS}")
-    if kind in _CACHE:
-        return _CACHE[kind]
     if kind == "R":
-        t = _build_reals()
-    elif kind == "C":
-        t = _double(build_algebra("R"), "C", _cayley_dickson_product, "{}e")
-    elif kind == "H":
-        t = _double(build_algebra("C"), "H", _cayley_dickson_product, "{}e")
-    elif kind == "Hsplit":
-        t = _build_split_quaternions()
-    elif kind == "O":
-        t = _double(build_algebra("H"), "O", _cayley_dickson_product, "{}e")
-    elif kind == "Osplit":
-        t = _double(build_algebra("H"), "Osplit", _quaternion_pair_product, "e{}")
-    else:
-        t = _double(build_algebra("Hsplit"), "Osplit_from_Hsplit", _cayley_dickson_product,
-                    "{}e")
-    _CACHE[kind] = t
-    return t
+        return _build_reals()
+    if kind == "C":
+        return _double(build_algebra("R"), "C", _cayley_dickson_product, "{}e")
+    if kind == "H":
+        return _double(build_algebra("C"), "H", _cayley_dickson_product, "{}e")
+    if kind == "Hsplit":
+        return _build_split_quaternions()
+    if kind == "O":
+        return _double(build_algebra("H"), "O", _cayley_dickson_product, "{}e")
+    if kind == "Osplit":
+        return _double(build_algebra("H"), "Osplit", _quaternion_pair_product, "e{}")
+    return _double(build_algebra("Hsplit"), "Osplit_from_Hsplit", _cayley_dickson_product,
+                   "{}e")
 
 
 # --- induced 3-forms ---------------------------------------------------------
@@ -423,64 +418,3 @@ def norm_signature(t: AlgebraTable, imaginary_only: bool = False) -> tuple[int, 
     gram = [[sum(u[a] * t.norm.rows[a][b] * v[b] for a in range(t.dim) for b in range(t.dim))
              for v in comp] for u in comp]
     return signature(gram)
-
-
-def find_signed_permutation_isomorphism(src: AlgebraTable, dst: AlgebraTable):
-    """Search for an algebra isomorphism src -> dst sending unit to unit and
-    each non-unit basis element to +/- a non-unit basis element.
-
-    Returns the dim x dim column matrix (list of columns) or None.  The search
-    prunes by norms and is exhaustive over the remaining signed permutations.
-    """
-    if src.dim != dst.dim:
-        return None
-    dim = src.dim
-    others = [i for i in range(dim) if i != src.unit_index]
-    targets = [i for i in range(dim) if i != dst.unit_index]
-    n_src = {i: norm(src, src.basis(i)) for i in others}
-    n_dst = {i: norm(dst, dst.basis(i)) for i in targets}
-
-    cols: list = [None] * dim
-    cols[src.unit_index] = dst.basis(dst.unit_index).coords
-    used: set = set()
-
-    def images():
-        return {i: dst.element(cols[i]) for i in range(dim) if cols[i] is not None}
-
-    def consistent(i_new) -> bool:
-        imgs = images()
-        xi = imgs[i_new]
-        for j, xj in imgs.items():
-            for a, b, x, y in ((i_new, j, xi, xj), (j, i_new, xj, xi)):
-                prod = multiply(src, src.basis(a), src.basis(b))
-                want = dst.zero()
-                ok = True
-                for k, c in enumerate(prod.coords):
-                    if c:
-                        if cols[k] is None:
-                            ok = False
-                            break
-                        want += dst.element(cols[k]).scale(c)
-                if ok and want.coords != multiply(dst, x, y).coords:
-                    return False
-        return True
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(others):
-            return True
-        i = others[pos]
-        for tgt in targets:
-            if tgt in used or n_dst[tgt] != n_src[i]:
-                continue
-            for sign in (1, -1):
-                cols[i] = dst.basis(tgt).scale(sign).coords
-                used.add(tgt)
-                if consistent(i) and backtrack(pos + 1):
-                    return True
-                used.discard(tgt)
-                cols[i] = None
-        return False
-
-    if backtrack(0):
-        return [tuple(c) for c in cols]
-    return None

@@ -2,9 +2,9 @@
 
 Everything here works with :class:`fractions.Fraction` coefficients; no
 floating point is used anywhere, so equalities like ``pullback(g, w) == w``
-are decidable.  The ambient space is R^n with basis vectors indexed 1..n
-(n = 7 throughout this package, but nothing below hardwires it except the
-defaults).
+are decidable.  Forms and vectors live on R^7 (``DIM``), with basis vectors
+indexed 1..7; ``LinearMap`` is an n x n matrix of any size, and only
+``pullback`` requires n = 7.
 
 Main objects:
 
@@ -53,19 +53,19 @@ def json_int(x, what: str = "value") -> int:
     return x
 
 
-def vec(*coords, n: int = DIM) -> tuple[Fraction, ...]:
-    """Build an exact coordinate vector, zero padded to length n."""
+def vec(*coords) -> tuple[Fraction, ...]:
+    """Build an exact coordinate vector, zero padded to length 7."""
     cs = [scal(c) for c in coords]
-    if len(cs) > n:
+    if len(cs) > DIM:
         raise ValueError("too many coordinates")
-    return tuple(cs + [Fraction(0)] * (n - len(cs)))
+    return tuple(cs + [Fraction(0)] * (DIM - len(cs)))
 
 
-def basis_vector(i: int, n: int = DIM) -> tuple[Fraction, ...]:
+def basis_vector(i: int) -> tuple[Fraction, ...]:
     """Standard basis vector e_i (1-based)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"basis index {i} out of range 1..{n}")
-    return tuple(Fraction(1 if j == i else 0) for j in range(1, n + 1))
+    if not 1 <= i <= DIM:
+        raise ValueError(f"basis index {i} out of range 1..{DIM}")
+    return tuple(Fraction(1 if j == i else 0) for j in range(1, DIM + 1))
 
 
 def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -90,28 +90,28 @@ def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 class KForm:
-    """Alternating k-form with exact rational coefficients.
+    """Alternating k-form on R^7 with exact rational coefficients.
 
     ``terms`` maps strictly increasing index tuples (1-based) to nonzero
-    Fractions.  Instances are treated as immutable values; all operations
-    return new forms.  Two forms are equal iff degree and term maps agree.
+    Fractions; the constructor is the one place that drops zero
+    coefficients, so operations may pass it sums that cancel.  Instances are
+    treated as immutable values; all operations return new forms.  Two forms
+    are equal iff degree and term maps agree.
     """
 
-    __slots__ = ("degree", "terms", "n")
+    __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: Mapping[tuple[int, ...], Fraction] | None = None,
-                 n: int = DIM):
-        if not 0 <= degree <= n:
-            raise ValueError(f"degree {degree} out of range 0..{n}")
+    def __init__(self, degree: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+        if not 0 <= degree <= DIM:
+            raise ValueError(f"degree {degree} out of range 0..{DIM}")
         self.degree = degree
-        self.n = n
         clean: dict[tuple[int, ...], Fraction] = {}
         for idx, c in (terms or {}).items():
             idx = tuple(idx)
             if len(idx) != degree:
                 raise ValueError(f"index {idx} has wrong length for degree {degree}")
-            if any(not 1 <= i <= n for i in idx):
-                raise ValueError(f"index {idx} out of range 1..{n}")
+            if any(not 1 <= i <= DIM for i in idx):
+                raise ValueError(f"index {idx} out of range 1..{DIM}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index {idx} is not strictly increasing")
             c = scal(c)
@@ -120,66 +120,51 @@ class KForm:
         self.terms = clean
 
     @classmethod
-    def zero(cls, degree: int, n: int = DIM) -> "KForm":
-        return cls(degree, {}, n)
+    def zero(cls, degree: int) -> "KForm":
+        return cls(degree)
 
     @classmethod
-    def monomial(cls, indices: Sequence[int], coef=1, n: int = DIM) -> "KForm":
+    def monomial(cls, indices: Sequence[int], coef=1) -> "KForm":
         """Coefficient times alpha_{i1} ^ ... ^ alpha_{ik}; indices in any order."""
-        idx, sign = _sort_with_sign(indices)
-        if sign == 0:
-            return cls.zero(len(indices), n)
-        return cls(len(indices), {idx: sign * scal(coef)}, n)
+        return cls.from_terms(len(indices), [(indices, coef)])
 
     @classmethod
-    def from_terms(cls, degree: int, entries: Iterable[tuple[Sequence[int], object]],
-                   n: int = DIM) -> "KForm":
+    def from_terms(cls, degree: int, entries: Iterable[tuple[Sequence[int], object]]) -> "KForm":
         """Sum of monomials; repeated or unsorted indices handled with signs."""
         acc: dict[tuple[int, ...], Fraction] = {}
         for indices, coef in entries:
             idx, sign = _sort_with_sign(indices)
-            if sign == 0:
-                continue
-            c = acc.get(idx, Fraction(0)) + sign * scal(coef)
-            if c:
-                acc[idx] = c
-            else:
-                acc.pop(idx, None)
-        return cls(degree, acc, n)
+            if sign:
+                acc[idx] = acc.get(idx, 0) + sign * scal(coef)
+        return cls(degree, acc)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, KForm) and self.degree == other.degree
-                and self.n == other.n and self.terms == other.terms)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.degree, self.n, frozenset(self.terms.items())))
+        return hash((self.degree, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "KForm") -> "KForm":
-        if self.degree != other.degree or self.n != other.n:
+        if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
         acc = dict(self.terms)
         for idx, c in other.terms.items():
-            s = acc.get(idx, Fraction(0)) + c
-            if s:
-                acc[idx] = s
-            else:
-                acc.pop(idx, None)
-        return KForm(self.degree, acc, self.n)
+            acc[idx] = acc.get(idx, 0) + c
+        return KForm(self.degree, acc)
 
     def __neg__(self) -> "KForm":
-        return KForm(self.degree, {i: -c for i, c in self.terms.items()}, self.n)
+        return KForm(self.degree, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
     def __mul__(self, c) -> "KForm":
         c = scal(c)
-        if not c:
-            return KForm.zero(self.degree, self.n)
-        return KForm(self.degree, {i: c * v for i, v in self.terms.items()}, self.n)
+        return KForm(self.degree, {i: c * v for i, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -210,14 +195,14 @@ class KForm:
                           for idx, c in sorted(self.terms.items())]}
 
     @classmethod
-    def from_json(cls, data: Mapping, n: int = DIM) -> "KForm":
+    def from_json(cls, data: Mapping) -> "KForm":
         try:
             degree = json_int(data["degree"], "degree")
             terms = {tuple(json_int(i, "idx entry") for i in t["idx"]): scal(t["coef"])
                      for t in data["terms"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed KForm JSON: {exc}") from exc
-        return cls(degree, terms, n)
+        return cls(degree, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -238,12 +223,10 @@ class KForm:
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Exterior product; graded-commutative, zero when degrees exceed n."""
-    if a.n != b.n:
-        raise ValueError("forms live in different dimensions")
+    """Exterior product; graded-commutative, zero when degrees exceed 7."""
     deg = a.degree + b.degree
-    if deg > a.n:
-        return KForm.zero(a.n, a.n)
+    if deg > DIM:
+        return KForm.zero(DIM)
     acc: dict[tuple[int, ...], Fraction] = {}
     for ia, ca in a.terms.items():
         sa = set(ia)
@@ -251,12 +234,8 @@ def wedge(a: KForm, b: KForm) -> KForm:
             if sa.intersection(ib):
                 continue
             idx, sign = _merge_with_sign(ia, ib)
-            c = acc.get(idx, Fraction(0)) + sign * ca * cb
-            if c:
-                acc[idx] = c
-            else:
-                acc.pop(idx, None)
-    return KForm(deg, acc, a.n)
+            acc[idx] = acc.get(idx, 0) + sign * ca * cb
+    return KForm(deg, acc)
 
 
 def _merge_with_sign(ia: tuple[int, ...], ib: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -289,12 +268,8 @@ def interior(v: Sequence[Fraction], a: KForm) -> KForm:
             if not vi:
                 continue
             rest = idx[:t] + idx[t + 1:]
-            coef = acc.get(rest, Fraction(0)) + (-1) ** t * vi * c
-            if coef:
-                acc[rest] = coef
-            else:
-                acc.pop(rest, None)
-    return KForm(a.degree - 1, acc, a.n)
+            acc[rest] = acc.get(rest, 0) + (-1) ** t * vi * c
+    return KForm(a.degree - 1, acc)
 
 
 class LinearMap:
@@ -315,19 +290,22 @@ class LinearMap:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def scaling(cls, c, n: int = DIM) -> "LinearMap":
+    def scaling(cls, c) -> "LinearMap":
         c = scal(c)
-        return cls([[c if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[c if i == j else 0 for j in range(DIM)] for i in range(DIM)])
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[object]]) -> "LinearMap":
         n = len(cols)
+        if any(len(c) != n for c in cols):
+            raise ValueError(f"each of the {n} columns needs {n} entries")
         return cls([[scal(cols[j][i]) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_images(cls, images: Mapping[int, Sequence[Fraction]], n: int = DIM) -> "LinearMap":
-        """Build from 1-based assignments e_j -> vector; unspecified j map to e_j."""
-        cols = [list(basis_vector(j, n)) for j in range(1, n + 1)]
+    def from_images(cls, images: Mapping[int, Sequence[Fraction]]) -> "LinearMap":
+        """Build from 1-based assignments e_j -> vector in R^7; unspecified j
+        map to e_j."""
+        cols = [list(basis_vector(j)) for j in range(1, DIM + 1)]
         for j, image in images.items():
             cols[j - 1] = [scal(x) for x in image]
         return cls.from_cols(cols)
@@ -402,25 +380,20 @@ def pullback(g: LinearMap, a: KForm) -> KForm:
 
     Computed through k x k minors of the matrix, so coefficients stay exact.
     """
-    if g.n != a.n:
+    if g.n != DIM:
         raise ValueError("dimension mismatch")
     k = a.degree
     if k == 0:
         return a
-    cols = list(combinations(range(1, a.n + 1), k))
+    cols = list(combinations(range(1, DIM + 1), k))
     acc: dict[tuple[int, ...], Fraction] = {}
     for idx, c in a.terms.items():
         rows = [g.rows[i - 1] for i in idx]
         for J in cols:
             minor = _det([[row[j - 1] for j in J] for row in rows])
-            if not minor:
-                continue
-            s = acc.get(J, Fraction(0)) + c * minor
-            if s:
-                acc[J] = s
-            else:
-                acc.pop(J, None)
-    return KForm(k, acc, a.n)
+            if minor:
+                acc[J] = acc.get(J, 0) + c * minor
+    return KForm(k, acc)
 
 
 # --- exact dense linear algebra: one fraction-free elimination ---------------

@@ -120,9 +120,17 @@ def _split_variant_change() -> LinearMap:
         algebras.split_octonion_form_basis(), algebras.split_octonion_prime_basis())
 
 
-_CANONICAL_CACHE: dict[tuple[int, str], CanonicalForm] = {}
+# For the prime variants of orbits 5, 6 and 7: the change of basis (built on
+# first use) whose pullback of the standard form gives the variant, and the
+# basis the variant is written in.
+_PRIME_CHANGES = {
+    5: (_split_variant_change, "beta"),
+    6: (BASIS_MAP_6.inverse, "e"),
+    7: (BASIS_MAP_7.inverse, "e"),
+}
 
 
+@cache
 def canonical(orbit_id: int, variant: str = "standard") -> CanonicalForm:
     """Exact canonical representative for an orbit.
 
@@ -132,34 +140,20 @@ def canonical(orbit_id: int, variant: str = "standard") -> CanonicalForm:
     """
     if orbit_id not in ORBIT_IDS:
         raise ValueError(f"orbit id must be 1..8, got {orbit_id}")
-    key = (orbit_id, variant)
-    if key in _CANONICAL_CACHE:
-        return _CANONICAL_CACHE[key]
     if variant == "standard":
-        cf = CanonicalForm(orbit_id, "standard",
-                           KForm.from_terms(3, _ORBIT_TERMS[orbit_id]), "e", None)
-    elif variant == "prime":
-        if orbit_id == 2:
-            cf = CanonicalForm(2, "prime", KForm.from_terms(3, _ORBIT_TERMS_2PRIME),
-                               "beta", _BASIS_CHANGE_2)
-        elif orbit_id == 5:
-            change = _split_variant_change()
-            cf = CanonicalForm(5, "prime", pullback(change, canonical(5).form),
-                               "beta", change)
-        elif orbit_id == 6:
-            change = BASIS_MAP_6.inverse()
-            cf = CanonicalForm(6, "prime", pullback(change, canonical(6).form),
-                               "e", change)
-        elif orbit_id == 7:
-            change = BASIS_MAP_7.inverse()
-            cf = CanonicalForm(7, "prime", pullback(change, canonical(7).form),
-                               "e", change)
-        else:
-            raise ValueError(f"orbit {orbit_id} has no prime variant")
-    else:
+        return CanonicalForm(orbit_id, "standard",
+                             KForm.from_terms(3, _ORBIT_TERMS[orbit_id]), "e", None)
+    if variant != "prime":
         raise ValueError(f"unknown variant {variant!r}")
-    _CANONICAL_CACHE[key] = cf
-    return cf
+    if orbit_id == 2:
+        return CanonicalForm(2, "prime", KForm.from_terms(3, _ORBIT_TERMS_2PRIME),
+                             "beta", _BASIS_CHANGE_2)
+    if orbit_id not in _PRIME_CHANGES:
+        raise ValueError(f"orbit {orbit_id} has no prime variant")
+    make_change, source_basis = _PRIME_CHANGES[orbit_id]
+    change = make_change()
+    return CanonicalForm(orbit_id, "prime", pullback(change, canonical(orbit_id).form),
+                         source_basis, change)
 
 
 # --- invariants ---------------------------------------------------------------
@@ -167,8 +161,6 @@ def canonical(orbit_id: int, variant: str = "standard") -> CanonicalForm:
 def _require_3form(w: KForm) -> None:
     if w.degree != 3:
         raise ValueError(f"expected a 3-form, got degree {w.degree}")
-    if w.n != DIM:
-        raise ValueError(f"expected a 3-form on R^{DIM}, got one on R^{w.n}")
 
 
 _TRIPLES = tuple(combinations(range(1, DIM + 1), 3))

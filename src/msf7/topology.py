@@ -240,10 +240,8 @@ def _definite_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
         for i in range(dim):
             # max of x_i^2 on {x^T m x <= s} is s * (m^-1)_ii
             cap = Fraction(s) * inv.rows[i][i]
-            b = math.isqrt(cap.numerator // cap.denominator)
-            while (b + 1) * (b + 1) * cap.denominator <= cap.numerator:
-                b += 1
-            box = max(box, b)
+            # floor(sqrt(cap)) == isqrt(floor(cap)) for cap >= 0
+            box = max(box, math.isqrt(cap.numerator // cap.denominator))
         return box
     return None
 

@@ -49,6 +49,24 @@ def oracle_interior(v, a: KForm) -> KForm:
     return KForm(a.degree - 1, terms)
 
 
+class TestConstructor:
+    def test_degree_above_seven_rejected(self):
+        with pytest.raises(ValueError, match="degree 8 out of range 0..7"):
+            KForm(8)
+
+    def test_non_increasing_index_rejected(self):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            KForm(3, {(1, 3, 2): 1})
+
+    def test_zero_coefficients_dropped(self):
+        assert KForm(3, {(1, 2, 3): 0, (1, 2, 4): 2}).terms == {(1, 2, 4): 2}
+        assert (alpha(1, 2) - alpha(1, 2)).terms == {}
+
+    def test_pullback_by_non_7x7_map_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pullback(LinearMap.identity(3), alpha(1, 2, 3))
+
+
 class TestWedge:
     def test_repeated_covector_vanishes(self):
         assert wedge(alpha(1), alpha(1)).is_zero()
@@ -379,6 +397,12 @@ class TestSerialization:
         data["cols"][2][2] = "1/0"
         with pytest.raises(ValueError, match="malformed LinearMap JSON: zero denominator"):
             LinearMap.from_json(data)
+
+    @pytest.mark.parametrize("cols", [[["1", "2"], ["3"]],
+                                      [["1", "2", "9"], ["3", "4", "9"]]])
+    def test_linear_map_json_rejects_ragged_columns(self, cols):
+        with pytest.raises(ValueError, match="malformed LinearMap JSON: each of the 2 columns"):
+            LinearMap.from_json({"cols": cols})
 
     def test_kform_json_rejects_bool_coefficient(self):
         with pytest.raises(ValueError, match="not an exact scalar"):

@@ -182,10 +182,9 @@ class TestMultisymplectic:
             is_multisymplectic(alpha(1, 2))
 
     def test_wrong_dimension_rejected(self):
-        w = KForm(3, {(1, 2, 8): 1}, n=8)
-        for f in (is_multisymplectic, b_form, classify, stabilizer_dim):
-            with pytest.raises(ValueError, match="R\\^7"):
-                f(w)
+        # forms live on R^7, so a form with an index 8 cannot be built
+        with pytest.raises(ValueError, match="out of range 1..7"):
+            KForm(3, {(1, 2, 8): 1})
 
     def test_rank_equals_contraction_rank(self):
         w = canonical(4).form

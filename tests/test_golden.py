@@ -1,6 +1,6 @@
 """Golden outputs of the algebra tables, the catalog's matrix constructions,
-the stabilizer dimensions, the verify_paper report and the check_type
-outcomes.
+the stabilizer dimensions, the exterior-algebra operations, the verify_paper
+report and the check_type outcomes.
 
 The algebra and matrix digests were computed from the implementation before
 the doubling routine, the pair action and the block-diagonal matrices were
@@ -12,7 +12,10 @@ still ranked the 63 x 49 system (the stabilizer system stacked on the
 symmetric part of A); they pin (stabilizer_dim, compact_dim) on a seeded
 corpus of 3-forms.  The verify_paper and check_type digests were computed
 before the catalog's small constructions and check_type's flag checks were
-each written once.
+each written once.  The exterior digests were computed while KForm still
+took a dimension parameter and every operation dropped zero coefficients
+itself; they pin pullback, wedge and interior on a seeded corpus of sparse
+and dense forms, and integer, rational and singular maps.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import combinations, product
 import pytest
 
 from msf7.algebras import ALGEBRA_KINDS, build_algebra
-from msf7.exterior import DIM, KForm, LinearMap, pullback
+from msf7.exterior import DIM, KForm, LinearMap, interior, pullback, wedge
 from msf7.forms7 import canonical, compact_dim, stabilizer_dim
 from msf7.topology import CohomologyModel, check_type
 from msf7.stabilizers import (
@@ -178,6 +181,77 @@ def _form_corpus(seed: int = 20261018) -> dict[str, list[KForm]]:
 def test_stabilizer_dimensions_are_unchanged(name):
     dims = [(stabilizer_dim(w), compact_dim(w)) for w in _form_corpus()[name]]
     assert _digest(json.dumps(dims)) == STABILIZER_DIGESTS[name]
+
+
+EXTERIOR_DIGESTS = {
+    "interior": "bcd6674f6f3109370b6a61253aa12f199e4367844896d86854e9ee2696833867",
+    "pullback": "1b13066acddbb489564d3f2d37c2a39be622785c7c3d235064fcaa9433f90286",
+    "wedge": "0798582ab40307d30fcf7e3e3d021fc2a8f1ccee803937dc83b39588b61911a4",
+}
+
+
+def _exterior_corpus(seed: int = 20261018) -> dict[str, list[KForm]]:
+    """Seeded outputs of the three exterior operations.
+
+    pullback: integer, rational and singular (rank 0, 3 and 6) maps applied to
+    sparse and dense 0-, 1- and 3-forms.  wedge: sparse and dense forms of
+    every degree pair with sum at most 7.  interior: integer, rational and
+    sparse vectors contracted into sparse and dense forms of degree 1..7.
+    """
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def form(degree, dense):
+        idxs = list(combinations(range(1, DIM + 1), degree))
+        picked = idxs if dense else rng.sample(idxs, min(len(idxs), rng.randint(1, 3)))
+        return KForm(degree, {t: frac() for t in picked})
+
+    def integer_map():
+        return LinearMap([[rng.randint(-3, 3) for _ in range(DIM)] for _ in range(DIM)])
+
+    def rational_map():
+        return LinearMap([[frac() for _ in range(DIM)] for _ in range(DIM)])
+
+    def singular_map(rank):
+        # integer map whose last DIM - rank rows are combinations of the first
+        rows = [[rng.randint(-3, 3) for _ in range(DIM)] for _ in range(rank)]
+        for _ in range(DIM - rank):
+            mix = [rng.randint(-2, 2) for _ in range(rank)]
+            rows.append([sum(m * r[j] for m, r in zip(mix, rows)) for j in range(DIM)])
+        rng.shuffle(rows)
+        return LinearMap(rows)
+
+    maps = ([integer_map() for _ in range(4)] + [rational_map() for _ in range(4)]
+            + [singular_map(r) for r in (0, 3, 6)])
+    pullbacks = [pullback(g, form(k, dense))
+                 for g in maps for k in (0, 1, 3) for dense in (False, True)]
+
+    wedges = []
+    for ka in range(DIM + 1):
+        for kb in range(DIM + 1 - ka):
+            for dense_a, dense_b in product((False, True), repeat=2):
+                wedges.append(wedge(form(ka, dense_a), form(kb, dense_b)))
+
+    def vector(kind):
+        if kind == "integer":
+            return tuple(Fraction(rng.randint(-3, 3)) for _ in range(DIM))
+        if kind == "rational":
+            return tuple(frac() for _ in range(DIM))
+        support = set(rng.sample(range(DIM), 2))
+        return tuple(frac() if i in support else Fraction(0) for i in range(DIM))
+
+    interiors = [interior(vector(kind), form(k, dense))
+                 for k in range(1, DIM + 1) for dense in (False, True)
+                 for kind in ("integer", "rational", "sparse")]
+    return {"pullback": pullbacks, "wedge": wedges, "interior": interiors}
+
+
+@pytest.mark.parametrize("name", sorted(EXTERIOR_DIGESTS))
+def test_exterior_operations_are_unchanged(name):
+    text = json.dumps([w.to_json() for w in _exterior_corpus()[name]])
+    assert _digest(text) == EXTERIOR_DIGESTS[name]
 
 
 VERIFY_PAPER_DIGEST = "08e26f89bac79adf5b887a4f46ad364bbf6006c6cb1ff6b7e4fc86ab2447c9a9"
