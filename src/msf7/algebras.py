@@ -289,11 +289,6 @@ def build_algebra(kind: str) -> AlgebraTable:
 
 # --- induced 3-forms ---------------------------------------------------------
 
-def imaginary_coords(t: AlgebraTable, x: AlgebraElement) -> bool:
-    """True iff x is orthogonal to the unit under the norm form."""
-    return inner(t, x, t.unit()) == 0
-
-
 def triple_form(t: AlgebraTable, basis_map) -> KForm:
     """The alternating form (a, b, c) -> <a b, c> on the listed 7 imaginary
     elements, as a KForm in the dual of that list.
@@ -306,7 +301,7 @@ def triple_form(t: AlgebraTable, basis_map) -> KForm:
     if len(basis) != 7:
         raise ValueError("need exactly 7 imaginary basis elements")
     for b in basis:
-        if not imaginary_coords(t, b):
+        if inner(t, b, t.unit()) != 0:
             raise ValueError(f"basis element {b} is not imaginary")
     vals = {}
     for p in range(7):

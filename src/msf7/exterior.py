@@ -14,17 +14,19 @@ Main objects:
 * ``kernel``, ``rank`` -- exact nullspace basis and rank of a rational matrix
 * ``signature`` -- exact signature of a rational symmetric matrix
 
-``_echelon`` is the single elimination routine: fraction-free (Bareiss)
-row reduction in Python ints.  ``rank``, ``kernel``, determinants of size
-above 3, ``LinearMap.inverse`` and span tests elsewhere in the package are
-all built on it; only ``signature`` (congruence, not row echelon) differs.
+``_sort_with_sign`` is the single sign routine: ``wedge`` and the
+constructors take their signs and repeated-index zeros from it, and
+``pullback`` is a sum of wedges.  ``_echelon`` is the single elimination
+routine: fraction-free (Bareiss) row reduction in Python ints.  ``rank``,
+``kernel``, all determinants, ``LinearMap.inverse`` and span tests elsewhere
+in the package are built on it; only ``signature`` (congruence, not row
+echelon) differs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -68,10 +70,6 @@ def basis_vector(i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if j == i else 0) for j in range(1, DIM + 1))
 
 
-def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Sort indices, returning (sorted tuple, permutation sign); sign 0 on repeats."""
     idx = list(indices)
@@ -94,16 +92,18 @@ class KForm:
 
     ``terms`` maps strictly increasing index tuples (1-based) to nonzero
     Fractions; the constructor is the one place that drops zero
-    coefficients, so operations may pass it sums that cancel.  Instances are
-    treated as immutable values; all operations return new forms.  Two forms
-    are equal iff degree and term maps agree.
+    coefficients, so operations may pass it sums that cancel.  Any degree
+    k >= 0 is allowed, but above 7 no increasing index tuple exists in 1..7,
+    so the zero form is the only k-form.  Instances are treated as immutable
+    values; all operations return new forms.  Two forms are equal iff degree
+    and term maps agree.
     """
 
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        if not 0 <= degree <= DIM:
-            raise ValueError(f"degree {degree} out of range 0..{DIM}")
+        if degree < 0:
+            raise ValueError(f"degree {degree} is negative")
         self.degree = degree
         clean: dict[tuple[int, ...], Fraction] = {}
         for idx, c in (terms or {}).items():
@@ -179,16 +179,6 @@ class KForm:
             return Fraction(0)
         return sign * self.terms.get(idx, Fraction(0))
 
-    def evaluate(self, vectors: Sequence[Sequence[Fraction]]) -> Fraction:
-        """Full multilinear evaluation on k coordinate vectors (independent of
-        wedge/interior/pullback; used as an oracle in tests)."""
-        if len(vectors) != self.degree:
-            raise ValueError("wrong number of arguments")
-        total = Fraction(0)
-        for idx, c in self.terms.items():
-            total += c * _det([[v[i - 1] for i in idx] for v in vectors])
-        return total
-
     def to_json(self) -> dict:
         return {"degree": self.degree,
                 "terms": [{"idx": list(idx), "coef": str(c)}
@@ -223,38 +213,19 @@ class KForm:
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Exterior product; graded-commutative, zero when degrees exceed 7."""
-    deg = a.degree + b.degree
-    if deg > DIM:
-        return KForm.zero(DIM)
+    """Exterior product, of degree a.degree + b.degree; graded-commutative.
+
+    Signs come from ``_sort_with_sign``, whose sign 0 marks a repeated index,
+    so a product of degree above 7 is the zero form of that degree.
+    """
     acc: dict[tuple[int, ...], Fraction] = {}
     for ia, ca in a.terms.items():
-        sa = set(ia)
         for ib, cb in b.terms.items():
-            if sa.intersection(ib):
-                continue
-            idx, sign = _merge_with_sign(ia, ib)
-            acc[idx] = acc.get(idx, 0) + sign * ca * cb
-    return KForm(deg, acc)
-
-
-def _merge_with_sign(ia: tuple[int, ...], ib: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Merge two disjoint increasing tuples, counting adjacent transpositions."""
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(ia) and j < len(ib):
-        if ia[i] < ib[j]:
-            out.append(ia[i])
-            i += 1
-        else:
-            out.append(ib[j])
-            if (len(ia) - i) % 2:
-                sign = -sign
-            j += 1
-    out.extend(ia[i:])
-    out.extend(ib[j:])
-    return tuple(out), sign
+            idx, sign = _sort_with_sign(ia + ib)
+            if sign:
+                c = ca * cb
+                acc[idx] = acc.get(idx, 0) + (c if sign > 0 else -c)
+    return KForm(a.degree + b.degree, acc)
 
 
 def interior(v: Sequence[Fraction], a: KForm) -> KForm:
@@ -378,22 +349,20 @@ class LinearMap:
 def pullback(g: LinearMap, a: KForm) -> KForm:
     """(g* a)(v1,...,vk) = a(g v1,...,g vk); g may be singular.
 
-    Computed through k x k minors of the matrix, so coefficients stay exact.
+    Row i of g is the covector g* e^i, so each term c e^{i1} ^ ... ^ e^{ik}
+    pulls back to c (g* e^{i1}) ^ ... ^ (g* e^{ik}).
     """
     if g.n != DIM:
         raise ValueError("dimension mismatch")
-    k = a.degree
-    if k == 0:
-        return a
-    cols = list(combinations(range(1, DIM + 1), k))
+    covectors = [KForm(1, {(j,): x for j, x in enumerate(row, 1)}) for row in g.rows]
     acc: dict[tuple[int, ...], Fraction] = {}
     for idx, c in a.terms.items():
-        rows = [g.rows[i - 1] for i in idx]
-        for J in cols:
-            minor = _det([[row[j - 1] for j in J] for row in rows])
-            if minor:
-                acc[J] = acc.get(J, 0) + c * minor
-    return KForm(k, acc)
+        term = KForm(0, {(): c})
+        for i in idx:
+            term = wedge(term, covectors[i - 1])
+        for J, x in term.terms.items():
+            acc[J] = acc.get(J, 0) + x
+    return KForm(a.degree, acc)
 
 
 # --- exact dense linear algebra: one fraction-free elimination ---------------
@@ -452,14 +421,6 @@ def _det(m: list[list[Fraction]]) -> Fraction:
     n = len(m)
     if n == 0:
         return Fraction(1)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     rows, pivot_cols, sign, scale = _echelon(m)
     if len(pivot_cols) < n:
         return Fraction(0)

@@ -262,41 +262,37 @@ class NamedTransformation:
     note: str = ""
 
     def verify(self) -> bool:
-        source = canonical(self.target[0], "standard").form
+        target_form = canonical(*self.target).form
         if self.claim == "stabilizes":
-            target_form = canonical(*self.target).form
             return verify_membership(self.map, target_form)
         if self.claim == "carries_to":
-            return pullback(self.map, source) == canonical(*self.target).form
+            source = canonical(self.target[0], "standard").form
+            return pullback(self.map, source) == target_form
         raise ValueError(f"unknown claim {self.claim!r}")
-
-
-def _images(d: dict) -> LinearMap:
-    return LinearMap.from_images({k: [scal(x) for x in v] for k, v in d.items()})
 
 
 def catalog() -> tuple[NamedTransformation, ...]:
     return (
         NamedTransformation(
             "k1-swap-component",
-            _images({1: [0, 1, 0, 0, 0, 0, 0], 2: [1, 0, 0, 0, 0, 0, 0],
-                     3: [0, 0, 0, 0, 1, 0, 0], 4: [0, 0, 0, 0, 0, 1, 0],
-                     5: [0, 0, 1, 0, 0, 0, 0], 6: [0, 0, 0, 1, 0, 0, 0],
-                     7: [0, 0, 0, 0, 0, 0, -1]}),
+            LinearMap.from_images({1: [0, 1, 0, 0, 0, 0, 0], 2: [1, 0, 0, 0, 0, 0, 0],
+                                   3: [0, 0, 0, 0, 1, 0, 0], 4: [0, 0, 0, 0, 0, 1, 0],
+                                   5: [0, 0, 1, 0, 0, 0, 0], 6: [0, 0, 0, 1, 0, 0, 0],
+                                   7: [0, 0, 0, 0, 0, 0, -1]}),
             (1, "standard"), "stabilizes",
             "swaps the two 2-plane blocks; completes the compact part of orbit 1"),
         NamedTransformation(
             "k2-torus-second-component",
-            _images({1: [-1, 0, 0, 0, 0, 0, 0], 3: [0, 0, -1, 0, 0, 0, 0],
-                     4: [0, 0, 0, 0, -1, 0, 0], 5: [0, 0, 0, -1, 0, 0, 0],
-                     6: [0, 0, 0, 0, 0, 0, 1], 7: [0, 0, 0, 0, 0, 1, 0]}),
+            LinearMap.from_images({1: [-1, 0, 0, 0, 0, 0, 0], 3: [0, 0, -1, 0, 0, 0, 0],
+                                   4: [0, 0, 0, 0, -1, 0, 0], 5: [0, 0, 0, -1, 0, 0, 0],
+                                   6: [0, 0, 0, 0, 0, 0, 1], 7: [0, 0, 0, 0, 0, 1, 0]}),
             (2, "prime"), "stabilizes",
             "second component of the maximal torus of the orbit-2 compact part"),
         NamedTransformation(
             "k2-determinant-component",
-            _images({3: [0, 0, -1, 0, 0, 0, 0], 4: [0, 0, 0, 0, 0, 0, 1],
-                     5: [0, 0, 0, 0, 0, 1, 0], 6: [0, 0, 0, 0, 1, 0, 0],
-                     7: [0, 0, 0, 1, 0, 0, 0]}),
+            LinearMap.from_images({3: [0, 0, -1, 0, 0, 0, 0], 4: [0, 0, 0, 0, 0, 0, 1],
+                                   5: [0, 0, 0, 0, 0, 1, 0], 6: [0, 0, 0, 0, 1, 0, 0],
+                                   7: [0, 0, 0, 1, 0, 0, 0]}),
             (2, "prime"), "stabilizes",
             "splits the determinant sign character of the orbit-2 stabilizer"),
         NamedTransformation(
@@ -307,15 +303,15 @@ def catalog() -> tuple[NamedTransformation, ...]:
             "alternating sign flip; second component of the orbit-3 compact part"),
         NamedTransformation(
             "k4-second-component",
-            _images({1: [-1, 0, 0, 0, 0, 0, 0], 5: [0, 0, 0, 0, -1, 0, 0],
-                     6: [0, 0, 0, 0, 0, -1, 0], 7: [0, 0, 0, 0, 0, 0, -1]}),
+            LinearMap.from_images({1: [-1, 0, 0, 0, 0, 0, 0], 5: [0, 0, 0, 0, -1, 0, 0],
+                                   6: [0, 0, 0, 0, 0, -1, 0], 7: [0, 0, 0, 0, 0, 0, -1]}),
             (4, "standard"), "stabilizes",
             "negates e1 and the second 3-block; second component of orbit 4"),
         NamedTransformation(
             "k6-second-component",
-            _images({1: [0, 1, 0, 0, 0, 0, 0], 2: [1, 0, 0, 0, 0, 0, 0],
-                     3: [0, 0, -1, 0, 0, 0, 0], 5: [0, 0, 0, 0, 0, 1, 0],
-                     6: [0, 0, 0, 0, 1, 0, 0], 7: [0, 0, 0, 0, 0, 0, -1]}),
+            LinearMap.from_images({1: [0, 1, 0, 0, 0, 0, 0], 2: [1, 0, 0, 0, 0, 0, 0],
+                                   3: [0, 0, -1, 0, 0, 0, 0], 5: [0, 0, 0, 0, 0, 1, 0],
+                                   6: [0, 0, 0, 0, 1, 0, 0], 7: [0, 0, 0, 0, 0, 0, -1]}),
             (6, "standard"), "stabilizes",
             "published display repeats the image of e5 and omits e6; the unique "
             "completion with e6 -> e5 is the one that verifies"),

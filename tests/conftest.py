@@ -1,6 +1,11 @@
-"""Shared hypothesis strategies for exact forms, vectors and matrices."""
+"""Shared hypothesis strategies for exact forms, vectors and matrices, and an
+evaluation oracle for forms."""
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -42,3 +47,23 @@ def invertible_maps(draw):
     m = draw(linear_maps())
     assume(m.is_invertible())
     return m
+
+
+def leibniz_det(m) -> Fraction:
+    """Determinant as the signed sum over permutations; independent of the
+    package's elimination."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod((m[i][p] for i, p in enumerate(perm)),
+                                           start=Fraction(1))
+    return total
+
+
+def evaluate(form: KForm, vectors) -> Fraction:
+    """Full multilinear evaluation of a k-form on k coordinate vectors; shares
+    no code with wedge, interior, pullback or the elimination core."""
+    if len(vectors) != form.degree:
+        raise ValueError("wrong number of arguments")
+    return sum((c * leibniz_det([[v[i - 1] for i in idx] for v in vectors])
+                for idx, c in form.terms.items()), Fraction(0))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msf7.cli import fuzz_iterations, main
-from msf7.exterior import KForm, LinearMap
+from msf7.exterior import KForm, LinearMap, pullback
 from msf7.forms7 import canonical
 
 
@@ -51,10 +51,14 @@ class TestCanon:
 
 
 class TestClassify:
-    @pytest.mark.parametrize("orbit", [1, 4, 8])
-    def test_round_trip(self, tmp_path, capsys, orbit):
+    @pytest.mark.parametrize("orbit, variant",
+                             [pytest.param(i, "standard", id=str(i)) for i in range(1, 9)]
+                             + [pytest.param(i, "prime", id=f"{i}-prime") for i in (2, 5, 6, 7)])
+    def test_round_trip(self, tmp_path, capsys, orbit, variant):
+        code, out, _ = run(capsys, "canon", str(orbit), "--variant", variant)
+        assert code == 0
         path = tmp_path / "form.json"
-        path.write_text(json.dumps(canonical(orbit).form.to_json()))
+        path.write_text(out)
         code, out, _ = run(capsys, "classify", str(path))
         assert code == 0 and out.strip() == str(orbit)
 
@@ -136,16 +140,18 @@ class TestSample:
         assert code1 == code2 == 0 and out1 == out2
 
     def test_payload_is_consistent(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "sample", "--orbit", "6", "--seed", "9", "--json")
-        assert code == 0
-        data = json.loads(out)
-        g = LinearMap.from_json(data["map"])
-        assert g.det() != 0
-        # round trip the sampled form through classify
-        path = tmp_path / "sampled.json"
-        path.write_text(json.dumps(data["form"]))
-        code, out, _ = run(capsys, "classify", str(path))
-        assert code == 0 and out.strip() == "6"
+        for orbit in range(1, 9):
+            code, out, _ = run(capsys, "sample", "--orbit", str(orbit), "--seed", "9", "--json")
+            assert code == 0
+            data = json.loads(out)
+            g = LinearMap.from_json(data["map"])
+            assert g.det() != 0
+            assert pullback(g, canonical(orbit).form) == KForm.from_json(data["form"])
+            # round trip the sampled form through classify
+            path = tmp_path / "sampled.json"
+            path.write_text(json.dumps(data["form"]))
+            code, out, _ = run(capsys, "classify", str(path))
+            assert code == 0 and out.strip() == str(orbit)
 
 
 class TestVerifyPaper:

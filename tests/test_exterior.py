@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from msf7.exterior import (
     SymmetricMatrix,
     _det,
     _invert,
-    add_vectors,
     basis_vector,
     interior,
     kernel,
@@ -30,7 +30,14 @@ from msf7.exterior import (
 from msf7.forms7 import _stabilizer_system, canonical
 from msf7.stabilizers import in_matrix_span
 
-from conftest import invertible_maps, kforms, linear_maps, vectors
+from conftest import (
+    coefficients,
+    evaluate,
+    invertible_maps,
+    kforms,
+    linear_maps,
+    vectors,
+)
 
 
 def alpha(*idx):
@@ -40,19 +47,66 @@ def alpha(*idx):
 def oracle_interior(v, a: KForm) -> KForm:
     """Independent contraction: reconstruct coefficients by full multilinear
     evaluation on basis tuples (no shared code with `interior`)."""
-    from itertools import combinations
     terms = {}
     for idx in combinations(range(1, DIM + 1), a.degree - 1):
-        val = a.evaluate([v] + [basis_vector(i) for i in idx])
+        val = evaluate(a, [v] + [basis_vector(i) for i in idx])
         if val:
             terms[idx] = val
     return KForm(a.degree - 1, terms)
 
 
+def reference_pullback(g: LinearMap, a: KForm) -> KForm:
+    """pullback as the package computed it before it wedged the rows of g:
+    the coefficient of J is the sum over terms c e^I of c times the I x J
+    minor of g, here from the Fraction Gauss-Jordan reference below."""
+    k = a.degree
+    if k == 0:
+        return a
+    acc = {}
+    for idx, c in a.terms.items():
+        rows = [g.rows[i - 1] for i in idx]
+        for J in combinations(range(1, DIM + 1), k):
+            minor = reference_rref([[row[j - 1] for j in J] for row in rows])[2]
+            if minor:
+                acc[J] = acc.get(J, 0) + c * minor
+    return KForm(k, acc)
+
+
+@st.composite
+def forms_of_any_degree(draw):
+    """Forms of degree 0..7 with up to four terms."""
+    k = draw(st.integers(0, DIM))
+    picked = draw(st.lists(st.sampled_from(list(combinations(range(1, DIM + 1), k))),
+                           max_size=4, unique=True))
+    return KForm(k, {idx: draw(coefficients) for idx in picked})
+
+
+@st.composite
+def maps_of_every_kind(draw):
+    """Integer, rational, or singular of rank 0..6 (the last rows are integer
+    combinations of the first, then the rows are shuffled)."""
+    kind = draw(st.sampled_from(("integer", "rational", "singular")))
+    if kind == "integer":
+        return draw(linear_maps())
+    if kind == "rational":
+        return LinearMap([[draw(coefficients) for _ in range(DIM)] for _ in range(DIM)])
+    r = draw(st.integers(0, DIM - 1))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(DIM)] for _ in range(r)]
+    for _ in range(DIM - r):
+        mix = [draw(st.integers(-2, 2)) for _ in range(r)]
+        rows.append([sum(m * row[j] for m, row in zip(mix, rows)) for j in range(DIM)])
+    return LinearMap(draw(st.permutations(rows)))
+
+
 class TestConstructor:
     def test_degree_above_seven_rejected(self):
-        with pytest.raises(ValueError, match="degree 8 out of range 0..7"):
-            KForm(8)
+        # no strictly increasing index tuple of length 8 exists in 1..7, so
+        # zero is the only 8-form
+        assert KForm(8).is_zero() and KForm(8).degree == 8
+        with pytest.raises(ValueError, match="degree -1 is negative"):
+            KForm(-1)
+        with pytest.raises(ValueError, match="out of range 1..7"):
+            KForm(8, {(1, 2, 3, 4, 5, 6, 7, 8): 1})
 
     def test_non_increasing_index_rejected(self):
         with pytest.raises(ValueError, match="not strictly increasing"):
@@ -84,6 +138,12 @@ class TestWedge:
         assert wedge(a, a).is_zero()
         assert wedge(a, alpha(5, 6, 7, 1)).is_zero()
 
+    def test_degree_overflow_keeps_its_degree(self):
+        a = alpha(1, 2, 3, 4)
+        assert wedge(a, a).degree == 8
+        with pytest.raises(ValueError, match="cannot add forms of different degree"):
+            wedge(a, a) + alpha(1, 2, 3, 4, 5, 6, 7)
+
     @settings(max_examples=60)
     @given(a=kforms(), b=kforms())
     def test_graded_commutativity(self, a, b):
@@ -110,7 +170,7 @@ class TestInterior:
         assert interior(basis_vector(7), alpha(1, 2, 3)).is_zero()
 
     def test_vector_sum_against_hand_expansion(self):
-        v = add_vectors(basis_vector(1), basis_vector(2))
+        v = vec(1, 1)
         got = interior(v, canonical(1).form)
         expected = alpha(2, 7) + alpha(3, 4) - alpha(1, 7) + alpha(5, 6)
         assert got == expected
@@ -174,7 +234,12 @@ class TestPullback:
     @settings(max_examples=40)
     @given(g=linear_maps(), a=kforms(degree=2, max_terms=2), vs=st.lists(vectors(), min_size=2, max_size=2))
     def test_against_evaluation_oracle(self, g, a, vs):
-        assert pullback(g, a).evaluate(vs) == a.evaluate([g.apply(v) for v in vs])
+        assert evaluate(pullback(g, a), vs) == evaluate(a, [g.apply(v) for v in vs])
+
+    @settings(max_examples=80)
+    @given(g=maps_of_every_kind(), a=forms_of_any_degree())
+    def test_agrees_with_minor_expansion(self, g, a):
+        assert pullback(g, a) == reference_pullback(g, a)
 
 
 class TestKernel:
@@ -308,7 +373,7 @@ class TestEchelonCore:
 
     def test_empty_matrix(self):
         assert (_det([]), _invert([]), kernel([]), rank([])) == (1, [], [], 0)
-        assert KForm(0, {(): 3}).evaluate([]) == 3
+        assert evaluate(KForm(0, {(): 3}), []) == 3
 
     def test_orbit8_stabilizer_kernel_is_pinned(self):
         got = kernel(_stabilizer_system(canonical(8).form))

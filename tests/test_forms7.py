@@ -45,7 +45,7 @@ from msf7.forms7 import (
 )
 from msf7.stabilizers import in_matrix_span
 
-from conftest import coefficients, kforms, vectors
+from conftest import coefficients, evaluate, kforms, vectors
 
 
 def alpha(*idx):
@@ -329,9 +329,9 @@ class TestStabilizer:
                 u = tuple(Fraction(rng.randint(-2, 2)) for _ in range(7))
                 v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(7))
                 x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(7))
-                total = (w.evaluate([A.apply(u), v, x])
-                         + w.evaluate([u, A.apply(v), x])
-                         + w.evaluate([u, v, A.apply(x)]))
+                total = (evaluate(w, [A.apply(u), v, x])
+                         + evaluate(w, [u, A.apply(v), x])
+                         + evaluate(w, [u, v, A.apply(x)]))
                 assert total == 0
 
     def test_closed_under_commutator(self):

@@ -15,12 +15,15 @@ before the catalog's small constructions and check_type's flag checks were
 each written once.  The exterior digests were computed while KForm still
 took a dimension parameter and every operation dropped zero coefficients
 itself; they pin pullback, wedge and interior on a seeded corpus of sparse
-and dense forms, and integer, rational and singular maps.
+and dense forms, and integer, rational and singular maps.  The sample_orbit and canon digests
+were computed while pullback still expanded every k x k minor of the map.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -29,8 +32,9 @@ from itertools import combinations, product
 import pytest
 
 from msf7.algebras import ALGEBRA_KINDS, build_algebra
+from msf7.cli import main
 from msf7.exterior import DIM, KForm, LinearMap, interior, pullback, wedge
-from msf7.forms7 import canonical, compact_dim, stabilizer_dim
+from msf7.forms7 import canonical, compact_dim, sample_orbit, stabilizer_dim
 from msf7.topology import CohomologyModel, check_type
 from msf7.stabilizers import (
     cayley_so3,
@@ -252,6 +256,32 @@ def _exterior_corpus(seed: int = 20261018) -> dict[str, list[KForm]]:
 def test_exterior_operations_are_unchanged(name):
     text = json.dumps([w.to_json() for w in _exterior_corpus()[name]])
     assert _digest(text) == EXTERIOR_DIGESTS[name]
+
+
+SAMPLE_ORBIT_DIGEST = "b8fde15243aeaafbe8510bbb4003c0ab8f8fada7ccdc145398044f8d51715ac9"
+
+SAMPLE_SEEDS = (0, 1, 9, 77, 2**40 + 3, -1)
+
+
+def test_sample_orbit_is_unchanged():
+    out = [{"form": form.to_json(), "map": g.to_json()}
+           for i in range(1, 9) for seed in SAMPLE_SEEDS
+           for form, g in [sample_orbit(i, seed)]]
+    assert _digest(json.dumps(out)) == SAMPLE_ORBIT_DIGEST
+
+
+CANON_DIGEST = "c228b683d1eac8b390ef86d511ddee147a18fef520b47963f77b43ba0a24e0d9"
+
+CANON_VARIANTS = [(i, "standard") for i in range(1, 9)] + [(i, "prime") for i in (2, 5, 6, 7)]
+
+
+def test_canon_payloads_are_unchanged():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for i, variant in CANON_VARIANTS:
+            assert main(["canon", str(i), "--variant", variant, "--json"]) == 0
+    assert out.getvalue().count("change_of_basis") == 4
+    assert _digest(out.getvalue()) == CANON_DIGEST
 
 
 VERIFY_PAPER_DIGEST = "08e26f89bac79adf5b887a4f46ad364bbf6006c6cb1ff6b7e4fc86ab2447c9a9"
