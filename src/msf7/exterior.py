@@ -16,11 +16,12 @@ Main objects:
 
 ``_sort_with_sign`` is the single sign routine: ``wedge`` and the
 constructors take their signs and repeated-index zeros from it, and
-``pullback`` is a sum of wedges.  ``_echelon`` is the single elimination
-routine: fraction-free (Bareiss) row reduction in Python ints.  ``rank``,
-``kernel``, all determinants, ``LinearMap.inverse`` and span tests elsewhere
-in the package are built on it; only ``signature`` (congruence, not row
-echelon) differs.
+``pullback`` is a sum of wedges.  ``forms7``'s index tables are read off
+``wedge`` on basis monomials, so no other module knows a sign.
+``_echelon`` is the single elimination routine: fraction-free (Bareiss) row
+reduction in Python ints.  ``rank``, ``kernel``, all determinants,
+``LinearMap.inverse`` and span tests elsewhere in the package are built on
+it; only ``signature`` (congruence, not row echelon) differs.
 """
 
 from __future__ import annotations
@@ -118,10 +119,6 @@ class KForm:
             if c:
                 clean[idx] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, degree: int) -> "KForm":
-        return cls(degree)
 
     @classmethod
     def monomial(cls, indices: Sequence[int], coef=1) -> "KForm":

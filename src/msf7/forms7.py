@@ -16,8 +16,9 @@ w = l ^ sigma.  It is a GL(7) invariant: pullback by g turns B into
 det(g) g^T B g, so l into a multiple of g^T l, and g*(l ^ w) = 0 iff
 l ^ w = 0.  The keys of the eight orbits are distinct (Westwick, "Real
 trivectors of rank seven", 1981), so classify looks them up in a static
-table.  B and the stabilizer system are read off one integer coefficient
-vector of w (the coefficients times their common denominator).
+table.  The rank, B and the stabilizer system all read one integer
+contraction matrix (column m is i_{e_m} w, w scaled to integers) and one
+cached table of basis wedge products, read off ``exterior.wedge``.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .exterior import (
     KForm,
     LinearMap,
     SymmetricMatrix,
-    _sort_with_sign,
     kernel,
     pullback,
     rank,
     signature,
+    wedge,
 )
 
 ORBIT_IDS = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -158,43 +159,58 @@ def canonical(orbit_id: int, variant: str = "standard") -> CanonicalForm:
 
 # --- invariants ---------------------------------------------------------------
 
-def _require_3form(w: KForm) -> None:
-    if w.degree != 3:
-        raise ValueError(f"expected a 3-form, got degree {w.degree}")
-
-
-_TRIPLES = tuple(combinations(range(1, DIM + 1), 3))
-_TRIPLE_INDEX = {t: k for k, t in enumerate(_TRIPLES)}
-_PAIR_INDEX = {t: k for k, t in enumerate(combinations(range(1, DIM + 1), 2))}
+# increasing index tuples of each degree (lexicographic), and their positions
+_SUBSETS = tuple(tuple(combinations(range(1, DIM + 1), k)) for k in range(DIM + 1))
+_INDEX = {s: k for subsets in _SUBSETS for k, s in enumerate(subsets)}
 # (column of A[m][p], column of A[p][m]) in the stabilizer system, m < p
 _ANTISYMMETRIC_COLUMNS = tuple((m * DIM + p, p * DIM + m)
                                for m, p in combinations(range(DIM), 2))
 
 
+@cache
+def _wedge_table(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Entries (a, b, k, sign) with e^(p-subset a) ^ e^(q-subset b) =
+    sign e^((p+q)-subset k), read off ``wedge`` on basis monomials.  Only
+    disjoint subsets are wedged; every other product is zero."""
+    table = []
+    for a, s in enumerate(_SUBSETS[p]):
+        for b, t in enumerate(_SUBSETS[q]):
+            if set(s).isdisjoint(t):
+                [(k, sign)] = wedge(KForm.monomial(s), KForm.monomial(t)).terms.items()
+                table.append((a, b, _INDEX[k], int(sign)))
+    return tuple(table)
+
+
 def _scaled_coefficients(w: KForm) -> tuple[list[int], int]:
     """(c, D): D is the lcm of the coefficient denominators of w and c[k] is
-    D times the coefficient of the k-th index triple (lexicographic order)."""
+    D times the coefficient of the k-th index triple (lexicographic order).
+    Every integer path starts here, so it rejects forms of other degrees."""
+    if w.degree != 3:
+        raise ValueError(f"expected a 3-form, got degree {w.degree}")
     d = math.lcm(*(x.denominator for x in w.terms.values()))
-    c = [0] * len(_TRIPLES)
+    c = [0] * len(_SUBSETS[3])
     for idx, x in w.terms.items():
-        c[_TRIPLE_INDEX[idx]] = x.numerator * (d // x.denominator)
+        c[_INDEX[idx]] = x.numerator * (d // x.denominator)
     return c, d
+
+
+def _contractions(c: list[int]) -> list[list[int]]:
+    """21 x 7 matrix whose column m is i_{e_m} w in the pair basis, for w with
+    scaled coefficients c: i_{e_m} e^K = s e^P iff e^m ^ e^P = s e^K."""
+    rows = [[0] * DIM for _ in _SUBSETS[2]]
+    for m, p, k, s in _wedge_table(1, 2):
+        rows[p][m] = s * c[k]
+    return rows
 
 
 def contraction_matrix(w: KForm) -> list[list[Fraction]]:
     """21 x 7 matrix of v -> interior(v, w) in the pair basis of 2-forms."""
-    _require_3form(w)
-    rows = [[Fraction(0)] * DIM for _ in _PAIR_INDEX]
-    for (a, b, c), x in w.terms.items():
-        # i_{e_a} e^abc = e^bc, i_{e_b} e^abc = -e^ac, i_{e_c} e^abc = e^ab
-        rows[_PAIR_INDEX[b, c]][a - 1] = x
-        rows[_PAIR_INDEX[a, c]][b - 1] = -x
-        rows[_PAIR_INDEX[a, b]][c - 1] = x
-    return rows
+    c, d = _scaled_coefficients(w)
+    return [[Fraction(x, d) for x in row] for row in _contractions(c)]
 
 
 def ms_rank(w: KForm) -> int:
-    return rank(contraction_matrix(w))
+    return rank(_contractions(_scaled_coefficients(w)[0]))
 
 
 def is_multisymplectic(w: KForm) -> bool:
@@ -202,51 +218,28 @@ def is_multisymplectic(w: KForm) -> bool:
     return ms_rank(w) == DIM
 
 
-@cache
-def _cubic_table() -> tuple[tuple[int, int, tuple[tuple[int, int, int, int], ...]], ...]:
-    """For each pair i <= j (0-based), the terms (I, J, K, sign) with
-    i_{e_i} e^I ^ i_{e_j} e^J ^ e^K = sign vol, as triple indices.
-
-    2,940 terms; K is the complement of (I - i) and (J - j).  Built on first
-    use only, so callers that never need B do not pay for it.
-    """
-    full = set(range(1, DIM + 1))
-    table = []
-    for i in range(1, DIM + 1):
-        for j in range(i, DIM + 1):
-            terms = []
-            for p in combinations(sorted(full - {i}), 2):
-                si, ki = _contract_sign(i, p)
-                for q in combinations(sorted(full - {j} - set(p)), 2):
-                    sj, kj = _contract_sign(j, q)
-                    k = tuple(sorted(full - set(p) - set(q)))
-                    _, s = _sort_with_sign(p + q + k)
-                    terms.append((ki, kj, _TRIPLE_INDEX[k], si * sj * s))
-            table.append((i - 1, j - 1, tuple(terms)))
-    return tuple(table)
-
-
-def _contract_sign(i: int, rest: tuple[int, int]) -> tuple[int, int]:
-    """(sign, k) with i_{e_i} e^(triple k) = sign e^rest."""
-    idx, s = _sort_with_sign((i,) + rest)
-    return s, _TRIPLE_INDEX[idx]
-
-
 def b_form(w: KForm) -> SymmetricMatrix:
     """B(u, v) defined by interior(u,w) ^ interior(v,w) ^ w = B(u,v) vol.
 
-    Cubic in the coefficients: with w scaled to integers c by D,
-    B_ij = sum of sign c_I c_J c_K over the cubic table, divided by D^3.
+    B = C^T M C / D^3, where C is the integer contraction matrix of w scaled
+    by D and M[P][Q] the volume coefficient of e^P ^ e^Q ^ D w.
     """
-    _require_3form(w)
     c, d = _scaled_coefficients(w)
+    contractions = _contractions(c)
+    # volume coefficient of e^R ^ D w, for each 4-subset R
+    vol = [0] * len(_SUBSETS[4])
+    for r, k, _, s in _wedge_table(4, 3):
+        vol[r] = s * c[k]
+    mc = [[0] * DIM for _ in contractions]  # M C
+    for p, q, r, s in _wedge_table(2, 2):
+        if x := s * vol[r]:
+            mc[p] = [a + x * b for a, b in zip(mc[p], contractions[q])]
     d3 = d ** 3
     rows = [[Fraction(0)] * DIM for _ in range(DIM)]
-    for i, j, terms in _cubic_table():
-        total = 0
-        for a, b, k, s in terms:
-            total += s * c[a] * c[b] * c[k]
-        rows[i][j] = rows[j][i] = Fraction(total, d3)
+    for i in range(DIM):
+        for j in range(i, DIM):
+            total = sum(row[i] * m[j] for row, m in zip(contractions, mc))
+            rows[i][j] = rows[j][i] = Fraction(total, d3)
     return SymmetricMatrix(rows)
 
 
@@ -257,55 +250,36 @@ def b_signature(w: KForm) -> tuple[int, int]:
     return (max(p, n), min(p, n))
 
 
-@cache
-def _one_form_table() -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For each 4-set q0 < q1 < q2 < q3 (lexicographic), the entries
-    (i, k, sign): e^(q_i) ^ e^(triple k) = sign e^q, with k the triple q
-    without q_i and sign (-1)^i."""
-    return tuple(
-        tuple((q[i] - 1, _TRIPLE_INDEX[q[:i] + q[i + 1:]], (-1) ** i) for i in range(4))
-        for q in combinations(range(1, DIM + 1), 4))
-
-
 def _divides(covector, w: KForm) -> bool:
     """True iff the 1-form with these coordinates wedges w to zero, i.e.
     w = covector ^ sigma for some 2-form sigma (covector nonzero).
 
-    Both sides are scaled to integers; the 35 coefficients of l ^ w are read
-    off the one-form table.
+    Both sides are scaled to integers; the 35 coefficients of l ^ w are
+    summed over the table of products e^i ^ e^K.
     """
     d = math.lcm(*(x.denominator for x in covector))
     ell = [x.numerator * (d // x.denominator) for x in covector]
     c, _ = _scaled_coefficients(w)
-    return not any(sum(s * ell[i] * c[k] for i, k, s in entries)
-                   for entries in _one_form_table())
-
-
-@cache
-def _stabilizer_pattern() -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For each triple index k, the entries (row, column, sign) at which
-    sign * (coefficient k of w) sits in the stabilizer system."""
-    pattern: list[list[tuple[int, int, int]]] = [[] for _ in _TRIPLES]
-    for row, (p, q, r) in enumerate(_TRIPLES):
-        for m in range(1, DIM + 1):
-            for slot, idx in ((p, (m, q, r)), (q, (p, m, r)), (r, (p, q, m))):
-                t, sign = _sort_with_sign(idx)
-                if sign:
-                    pattern[_TRIPLE_INDEX[t]].append((row, (m - 1) * DIM + slot - 1, sign))
-    return tuple(tuple(entries) for entries in pattern)
+    product = [0] * len(_SUBSETS[4])
+    for i, k, q, s in _wedge_table(1, 3):
+        product[q] += s * ell[i] * c[k]
+    return not any(product)
 
 
 def _stabilizer_system(w: KForm) -> list[list[int]]:
     """35 x 49 system for w(Au,v,x)+w(u,Av,x)+w(u,v,Ax) = 0, scaled to
     integers by the common denominator of w; unknown A[m][p] flattened as
-    m*7 + p."""
-    _require_3form(w)
+    m*7 + p.
+
+    For the matrix unit A = E_mp the left side is e^p ^ i_{e_m} w, so column
+    m*7 + p holds the wedge of e^p with column m of the contraction matrix.
+    """
     c, _ = _scaled_coefficients(w)
-    rows = [[0] * (DIM * DIM) for _ in _TRIPLES]
-    for x, entries in zip(c, _stabilizer_pattern()):
-        if x:
-            for r, col, sign in entries:
-                rows[r][col] = sign * x
+    contractions = _contractions(c)
+    rows = [[0] * (DIM * DIM) for _ in _SUBSETS[3]]
+    for p, q, k, s in _wedge_table(1, 2):
+        for m, x in enumerate(contractions[q]):
+            rows[k][m * DIM + p] = s * x
     return rows
 
 
@@ -351,12 +325,11 @@ class InvariantVector:
 
 
 def invariant_vector(w: KForm) -> InvariantVector:
-    _require_3form(w)
-    p, n, _ = signature(b_form(w))
+    sig = b_signature(w)
     return InvariantVector(
         ms_rank=ms_rank(w),
-        b_rank=p + n,
-        b_signature=(max(p, n), min(p, n)),
+        b_rank=sum(sig),
+        b_signature=sig,
         stab_dim=stabilizer_dim(w),
         compact_dim=compact_dim(w),
     )
@@ -399,7 +372,6 @@ def classify(w: KForm):
     Uses only invariants that are constant along orbits; the dimension of the
     compact part is excluded because it depends on the representative.
     """
-    _require_3form(w)
     if ms_rank(w) < DIM:
         return NON_MULTISYMPLECTIC
     return _CLASSIFIER_TABLE.get(_classifier_key(w), UNKNOWN)

@@ -1,8 +1,11 @@
-"""Static guard for exactness: the package source never touches floats.
+"""Static guards: the package source never touches floats, and only
+``exterior`` knows the sign convention.
 
 Every module of ``msf7`` is parsed with ``ast``.  A float (or complex)
 literal, the name ``float``, or a ``math`` function other than the integer
-ones (``lcm``, ``gcd``, ``isqrt``) fails the scan.
+ones (``lcm``, ``gcd``, ``isqrt``) fails the scan.  So does any mention of
+the sign routine ``_sort_with_sign`` outside ``exterior.py``: other modules
+read their signs off ``wedge`` and ``interior``.
 """
 
 from __future__ import annotations
@@ -60,3 +63,30 @@ def test_scan_catches(snippet):
 
 def test_scan_allows_integer_math():
     assert violations("import math\ny = math.lcm(2, 3) + math.gcd(4, 6) + math.isqrt(9)") == []
+
+
+SIGN_ROUTINE = "_sort_with_sign"
+
+
+def sign_routine_uses(source: str) -> list[int]:
+    """Lines that name the sign routine: a name, an attribute or an import."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Name) and node.id == SIGN_ROUTINE)
+            or (isinstance(node, ast.Attribute) and node.attr == SIGN_ROUTINE)
+            or (isinstance(node, ast.alias) and node.name == SIGN_ROUTINE)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exterior.py"],
+                         ids=lambda p: p.name)
+def test_only_exterior_knows_signs(path):
+    assert sign_routine_uses(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "from .exterior import _sort_with_sign",
+    "from .exterior import DIM, _sort_with_sign as s",
+    "from . import exterior\nexterior._sort_with_sign((2, 1))",
+    "f = _sort_with_sign",
+])
+def test_sign_scan_catches(snippet):
+    assert sign_routine_uses(snippet)

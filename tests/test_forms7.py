@@ -239,7 +239,7 @@ class TestAgainstReference:
         assert contraction_matrix(w) == reference_contraction_matrix(w)
 
     def test_zero_form(self):
-        w = KForm.zero(3)
+        w = KForm(3)
         assert b_form(w) == reference_b_form(w) == SymmetricMatrix([[0] * DIM] * DIM)
         assert contraction_matrix(w) == reference_contraction_matrix(w)
 
@@ -386,7 +386,7 @@ class TestCompactDim:
         assert compact_dim(w) == reference_compact_dim(w)
 
     def test_zero_form(self):
-        w = KForm.zero(3)
+        w = KForm(3)
         assert compact_dim(w) == reference_compact_dim(w) == 21
 
 

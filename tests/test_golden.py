@@ -1,6 +1,7 @@
 """Golden outputs of the algebra tables, the catalog's matrix constructions,
-the stabilizer dimensions, the exterior-algebra operations, the verify_paper
-report and the check_type outcomes.
+the stabilizer dimensions and the other 3-form invariants, the
+exterior-algebra operations, the verify_paper report and the check_type
+outcomes.
 
 The algebra and matrix digests were computed from the implementation before
 the doubling routine, the pair action and the block-diagonal matrices were
@@ -27,6 +28,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -34,7 +36,17 @@ import pytest
 from msf7.algebras import ALGEBRA_KINDS, build_algebra
 from msf7.cli import main
 from msf7.exterior import DIM, KForm, LinearMap, interior, pullback, wedge
-from msf7.forms7 import canonical, compact_dim, sample_orbit, stabilizer_dim
+from msf7.forms7 import (
+    _classifier_key,
+    _stabilizer_system,
+    b_form,
+    canonical,
+    compact_dim,
+    contraction_matrix,
+    ms_rank,
+    sample_orbit,
+    stabilizer_dim,
+)
 from msf7.topology import CohomologyModel, check_type
 from msf7.stabilizers import (
     cayley_so3,
@@ -149,6 +161,7 @@ STABILIZER_DIGESTS = {
 }
 
 
+@cache
 def _form_corpus(seed: int = 20261018) -> dict[str, list[KForm]]:
     """The twelve canonical forms and their pullbacks by random signed
     permutations (orthogonal, so the compact part keeps its dimension),
@@ -185,6 +198,53 @@ def _form_corpus(seed: int = 20261018) -> dict[str, list[KForm]]:
 def test_stabilizer_dimensions_are_unchanged(name):
     dims = [(stabilizer_dim(w), compact_dim(w)) for w in _form_corpus()[name]]
     assert _digest(json.dumps(dims)) == STABILIZER_DIGESTS[name]
+
+
+# Computed while B, the stabilizer system and the contraction matrix each
+# worked out the signs of interior and wedge by hand; entry types are pinned
+# too (Fraction for the contraction matrix and B, int for the system).
+FORM_CASES = {
+    "b_form": lambda w: _matrix_text(b_form(w).rows),
+    "stabilizer_system": lambda w: _matrix_text(_stabilizer_system(w)),
+    "contraction_matrix": lambda w: _matrix_text(contraction_matrix(w)),
+    "classifier_key": lambda w: json.dumps(_classifier_key(w)),
+    "ms_rank": lambda w: str(ms_rank(w)),
+}
+
+FORM_DIGESTS = {
+    "b_form": {
+        "canonical": "a29c8a80cfc0162a88ea95f33f456de88db89e1554a4dfc2f7d50400352e7ad2",
+        "pullbacks": "90952149631eaec9f41122fade456f413221cc2d08630adb04a9845dfc9d5afc",
+        "random": "7875b20f3cd81529a781121796165e3914a28df72321f8ea111f614d108e1aca",
+    },
+    "stabilizer_system": {
+        "canonical": "b6d9cb12f7c240dbb962fbb9a54b07ae6a21d4ec7c0e07e903338f926185bbc9",
+        "pullbacks": "05d9f0592399c7e3401581c3fc56ca674ceb9bee82f1fb1a4e4d81fac9997782",
+        "random": "b8cbc8b980f536d904e366b06cd7c7d49f17378fb40759e373310b4fdc506fb0",
+    },
+    "contraction_matrix": {
+        "canonical": "5427e9c9e47d647c74d2eba5a696ece74172913a5a135b5868a88c45f9c5c35d",
+        "pullbacks": "1ba393feb60f0f4a95d254753072291db6e117bf25b9b26c4bd5ab97ed2c34e7",
+        "random": "b645b683e8810cc6f25f3f71d6c2ddebb90a548842cae4ce61497a727369b10c",
+    },
+    "classifier_key": {
+        "canonical": "fc2722dc174c26e3cdb7fcac1f14c1a41f93e88ec6295feb1aba79381e0722a3",
+        "pullbacks": "2e276b199c925756e65e26901d33d39bd5b4b04b01e5da9dcfb8e04e8c8b95f1",
+        "random": "2517a374d5b614da522b1ff45820046aec93e3266981561b75e248fe2e4b8960",
+    },
+    "ms_rank": {
+        "canonical": "344b3f2915354ea93474b2b490c9527a9a1c2dfa4fc03164111b3edd2211f106",
+        "pullbacks": "3c2ac3e9d5cfe9b29df70219efe6e1dc85df2ce0abfa177416a2bbf62c814798",
+        "random": "2cc8541f9d193bcb78e6cc779657d5d996a96aafc1dbfc23e84dd289e3aafe9c",
+    },
+}
+
+
+@pytest.mark.parametrize("group", sorted(STABILIZER_DIGESTS))
+@pytest.mark.parametrize("name", sorted(FORM_CASES))
+def test_form_invariants_are_unchanged(name, group):
+    text = "\n".join(FORM_CASES[name](w) for w in _form_corpus()[group])
+    assert _digest(text) == FORM_DIGESTS[name][group]
 
 
 EXTERIOR_DIGESTS = {
