@@ -42,15 +42,17 @@ from .topology import (
 
 
 def fuzz_iterations(default: int = 100) -> int:
-    """Randomized-check count, overridable through MSF7_FUZZ_ITERS."""
+    """Randomized-check count, overridable through MSF7_FUZZ_ITERS; a value
+    that is not a positive integer exits with code 2."""
     raw = os.environ.get("MSF7_FUZZ_ITERS")
     if raw is None:
         return default
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"MSF7_FUZZ_ITERS must be an integer, got {raw!r}")
-    return max(1, n)
+    n = int(raw) if raw.strip().isdecimal() else 0
+    if n < 1:
+        print(f"error: MSF7_FUZZ_ITERS must be a positive integer, got {raw!r}",
+              file=sys.stderr)
+        raise SystemExit(2)
+    return n
 
 
 def _read_form(path: str) -> KForm:

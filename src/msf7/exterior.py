@@ -21,13 +21,16 @@ constructors take their signs and repeated-index zeros from it, and
 ``_echelon`` is the single elimination routine: fraction-free (Bareiss) row
 reduction in Python ints.  ``rank``, ``kernel``, all determinants,
 ``LinearMap.inverse`` and span tests elsewhere in the package are built on
-it; only ``signature`` (congruence, not row echelon) differs.
+it.  ``signature`` eliminates nothing: it reads the inertia off the integer
+characteristic polynomial (Faddeev-LeVerrier) by Descartes' rule of signs,
+which is exact because a symmetric matrix has only real eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -72,19 +75,19 @@ def basis_vector(i: int) -> tuple[Fraction, ...]:
 
 
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Sort indices, returning (sorted tuple, permutation sign); sign 0 on repeats."""
+    """Sort indices, returning (sorted tuple, permutation sign).  A repeated
+    index stops the sort with sign 0 and a partly sorted tuple callers ignore."""
     idx = list(indices)
     sign = 1
-    # insertion sort; k is tiny (<= 7)
+    # insertion sort (k <= 7); an entry stops beside an equal one only on a repeat
     for i in range(1, len(idx)):
         j = i
-        while j > 0 and idx[j - 1] > idx[j]:
+        while j > 0 and idx[j - 1] >= idx[j]:
+            if idx[j - 1] == idx[j]:
+                return tuple(idx), 0
             idx[j - 1], idx[j] = idx[j], idx[j - 1]
             sign = -sign
             j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
     return tuple(idx), sign
 
 
@@ -512,53 +515,25 @@ def polarize(q, dim: int) -> list[list[Fraction]]:
 
 
 def signature(s: SymmetricMatrix | Sequence[Sequence[object]]) -> tuple[int, int, int]:
-    """Exact (positive, negative, zero) inertia by congruence diagonalization.
-
-    Symmetric pivoting; when every remaining diagonal entry vanishes but some
-    off-diagonal s[i][j] does not, the row/column addition trick turns the
-    hyperbolic 2x2 block into one positive and one negative square.
-    """
+    """Exact (positive, negative, zero) inertia, read off det(tI - a) =
+    sum c_k t^(n-k), with a = ``s`` times the lcm of its denominators (a
+    positive scale keeps the inertia).  Faddeev-LeVerrier, exact in ints:
+    P_1 = a, c_k = -tr(P_k) / k, P_(k+1) = a (P_k + c_k I).  The roots are
+    real, so by Descartes' rule the sign changes among the nonzero c_k count
+    the positive roots; the trailing zero c_k count the zero roots."""
     if not isinstance(s, SymmetricMatrix):
         s = SymmetricMatrix(s)
     n = s.n
-    a = [list(r) for r in s.rows]
-    pos = neg = 0
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if a[i][i]), None)
-        if piv is None:
-            hyp = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j]:
-                        hyp = (i, j)
-                        break
-                if hyp:
-                    break
-            if hyp is None:
-                break  # remaining block is zero
-            i, j = hyp
-            # row/col addition makes a nonzero diagonal entry: a[i][i] becomes 2*a[i][j]
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for t in range(n):
-                a[t][k], a[t][piv] = a[t][piv], a[t][k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / d
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
-        k += 1
-    return pos, neg, n - pos - neg
+    d = math.lcm(*(x.denominator for row in s.rows for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in s.rows]
+    coeffs = [1]
+    p = a
+    for k in range(1, n + 1):
+        c = -sum(p[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        # p is a polynomial in the symmetric a, so column j of p is row j
+        p = [[sum(map(mul, row, pj)) + c * x for pj, x in zip(p, row)] for row in a]
+    r = max(k for k, c in enumerate(coeffs) if c)  # the rank
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(x != y for x, y in zip(signs, signs[1:]))
+    return pos, r - pos, n - r

@@ -418,8 +418,11 @@ def verify_paper(draws: int = 10, seed: int = 0) -> list[dict]:
     """Identity suite + compact dimensions + randomized embedding checks.
 
     Every entry carries an anchor and pass/fail status; the run is
-    deterministic for a fixed seed and self-contained.
+    deterministic for a fixed seed and self-contained.  At least one draw is
+    required: with none, the embedding anchors would pass unchecked.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     report = identity_checks()
     rng = random.Random(seed)
 

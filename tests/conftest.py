@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies for exact forms, vectors and matrices, and an
-evaluation oracle for forms."""
+"""Shared hypothesis strategies for exact forms, vectors and matrices, an
+evaluation oracle for forms, and the congruence signature the package used
+before it read signatures off the characteristic polynomial."""
 
 from __future__ import annotations
 
@@ -67,3 +68,54 @@ def evaluate(form: KForm, vectors) -> Fraction:
         raise ValueError("wrong number of arguments")
     return sum((c * leibniz_det([[v[i - 1] for i in idx] for v in vectors])
                 for idx, c in form.terms.items()), Fraction(0))
+
+
+def reference_signature(rows) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric matrix as the package
+    computed it before it read signatures off the characteristic polynomial:
+    congruence diagonalization over Fractions with symmetric pivoting.  When
+    every remaining diagonal entry vanishes but some off-diagonal a[i][j] does
+    not, adding row and column j to row and column i turns the hyperbolic
+    2x2 block into one positive and one negative square."""
+    a = [[Fraction(x) for x in r] for r in getattr(rows, "rows", rows)]
+    n = len(a)
+    pos = neg = 0
+    k = 0
+    while k < n:
+        piv = next((i for i in range(k, n) if a[i][i]), None)
+        if piv is None:
+            hyp = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if a[i][j]:
+                        hyp = (i, j)
+                        break
+                if hyp:
+                    break
+            if hyp is None:
+                break  # remaining block is zero
+            i, j = hyp
+            # row/col addition makes a nonzero diagonal entry: a[i][i] becomes 2*a[i][j]
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            piv = i
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for t in range(n):
+                a[t][k], a[t][piv] = a[t][piv], a[t][k]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / d
+                for t in range(n):
+                    a[i][t] -= f * a[k][t]
+                for t in range(n):
+                    a[t][i] -= f * a[t][k]
+        k += 1
+    return pos, neg, n - pos - neg

@@ -167,6 +167,12 @@ class TestVerifyPaper:
         assert all(r["status"] == "pass" for r in report)
         assert any(r["anchor"].startswith("compact-dimension") for r in report)
 
+    @pytest.mark.parametrize("draws", ["0", "-2"])
+    def test_no_draws_is_usage_error(self, capsys, draws):
+        # with no draws the embedding anchors would pass without a sample
+        code, out, err = run(capsys, "verify-paper", "--draws", draws)
+        assert code == 2 and out == "" and "error: draws must be at least 1" in err
+
 
 class TestTopoCheck:
     def test_projective_circle_type4(self, capsys):
@@ -220,6 +226,15 @@ class TestEnvironment:
         monkeypatch.setenv("MSF7_FUZZ_ITERS", "lots")
         with pytest.raises(SystemExit):
             fuzz_iterations()
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "lots"])
+    def test_fuzz_iterations_not_positive_is_usage_error(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("MSF7_FUZZ_ITERS", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"error: MSF7_FUZZ_ITERS must be a positive integer, got {raw!r}" in captured.err
 
 
 json_values = st.sampled_from(["1/0", "-3/0", "0/0", "1/2", "x", ""]) | st.recursive(

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msf7.exterior import (
@@ -36,6 +36,7 @@ from conftest import (
     invertible_maps,
     kforms,
     linear_maps,
+    reference_signature,
     vectors,
 )
 
@@ -314,13 +315,18 @@ def reference_kernel(m):
     return out
 
 
+# every p/q with 1 <= q <= 5 and |p/q| <= 6, smallest first so that shrinking
+# heads to 0; one sampled_from is far cheaper to draw from than st.fractions
+RATIONALS = sorted({Fraction(p, q) for q in range(1, 6) for p in range(-6 * q, 6 * q + 1)},
+                   key=lambda x: (abs(x), x < 0))
+rational_entries = st.one_of(st.just(Fraction(0)), st.sampled_from(RATIONALS))
+
+
 @st.composite
 def rational_matrices(draw):
     """Rational matrices up to 8 x 9, sparse, with zero and duplicate rows."""
     nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 9))
-    entry = st.one_of(st.just(Fraction(0)),
-                      st.fractions(min_value=-6, max_value=6, max_denominator=5))
-    rows = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    rows = [[draw(rational_entries) for _ in range(nc)] for _ in range(nr)]
     for i in range(1, nr):
         kind = draw(st.sampled_from(("keep", "keep", "zero", "copy")))
         if kind == "zero":
@@ -328,6 +334,30 @@ def rational_matrices(draw):
         elif kind == "copy":
             rows[i] = list(rows[draw(st.integers(0, i - 1))])
     return rows
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Rational symmetric matrices of size 0..8, sparse; some have a zero
+    diagonal (only hyperbolic blocks to pivot on), and zero or duplicate
+    rows and columns make some rank deficient."""
+    n = draw(st.integers(0, 8))
+    hyperbolic = draw(st.integers(0, 9)) < 3
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + int(hyperbolic), n):
+            a[i][j] = a[j][i] = draw(rational_entries)
+    for i in range(1, n):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "copy")))
+        if kind == "zero":
+            for t in range(n):
+                a[i][t] = a[t][i] = Fraction(0)
+        elif kind == "copy":
+            k = draw(st.integers(0, i - 1))
+            for t in range(n):
+                a[i][t] = a[t][i] = a[k][t]
+            a[i][i] = a[k][k]
+    return a
 
 
 # kernel basis of the orbit-8 stabilizer system as the earlier Fraction
@@ -406,6 +436,14 @@ class TestSignature:
                 s[i][j] = s[j][i] = data.draw(st.integers(-3, 3))
         pt_s_p = (p.transpose() @ LinearMap(s) @ p).rows
         assert signature(s) == signature(pt_s_p)
+
+    @settings(max_examples=300)
+    @given(m=symmetric_matrices())
+    @example(m=[[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    @example(m=[[0, Fraction(1, 2), 0, 0], [Fraction(1, 2), 0, 0, 0],
+                [0, 0, 0, -3], [0, 0, -3, 0]])
+    def test_agrees_with_congruence_reference(self, m):
+        assert signature(m) == reference_signature(m)
 
 
 class TestPolarize:

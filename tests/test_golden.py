@@ -18,6 +18,9 @@ took a dimension parameter and every operation dropped zero coefficients
 itself; they pin pullback, wedge and interior on a seeded corpus of sparse
 and dense forms, and integer, rational and singular maps.  The sample_orbit and canon digests
 were computed while pullback still expanded every k x k minor of the map.
+The last test checks signature against the congruence diagonalization it
+replaced (``reference_signature`` in conftest) on every matrix its callers
+pass it over these corpora.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from itertools import combinations, product
 
 import pytest
 
-from msf7.algebras import ALGEBRA_KINDS, build_algebra
+from msf7 import algebras, forms7, topology
+from msf7.algebras import ALGEBRA_KINDS, build_algebra, norm_signature
 from msf7.cli import main
-from msf7.exterior import DIM, KForm, LinearMap, interior, pullback, wedge
+from msf7.exterior import DIM, KForm, LinearMap, interior, pullback, signature, wedge
 from msf7.forms7 import (
     _classifier_key,
     _stabilizer_system,
@@ -47,7 +51,13 @@ from msf7.forms7 import (
     sample_orbit,
     stabilizer_dim,
 )
-from msf7.topology import CohomologyModel, check_type
+from msf7.topology import (
+    CohomologyModel,
+    HypothesisError,
+    bundled_model,
+    bundled_model_names,
+    check_type,
+)
 from msf7.stabilizers import (
     cayley_so3,
     embed_gl2pair,
@@ -62,6 +72,8 @@ from msf7.stabilizers import (
     unit_quaternion,
     verify_paper,
 )
+
+from conftest import reference_signature
 
 ALGEBRA_DIGESTS = {
     "R": "961f745a059809bb3e6297f2e45637b882ebe4cf904f505d1b5c95aa217752f1",
@@ -379,3 +391,32 @@ def test_check_type_outcomes_are_unchanged():
             outcomes.append(f"{type(exc).__name__}: {exc}")
     assert len(outcomes) == 1920
     assert _digest("\n".join(outcomes)) == CHECK_TYPE_DIGEST
+
+
+def test_signature_agrees_with_congruence_reference(monkeypatch):
+    """signature against the congruence diagonalization it replaced, on every
+    matrix its callers hand it: B of each corpus form, the norm forms (whole
+    and imaginary part) of the seven algebras, and the functionals that
+    check_type polarizes for the bundled models and the check_type grid."""
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return signature(m)
+
+    for module in (forms7, algebras, topology):
+        monkeypatch.setattr(module, "signature", recording)
+    for group in _form_corpus().values():
+        for w in group:
+            _classifier_key(w)
+    for kind in ALGEBRA_KINDS:
+        norm_signature(build_algebra(kind))
+        norm_signature(build_algebra(kind), imaginary_only=True)
+    models = [bundled_model(name) for name in bundled_model_names()]
+    for model, type_id in [(m, t) for m in models for t in range(1, 9)] + list(_check_type_grid()):
+        with contextlib.suppress(HypothesisError):
+            check_type(model, type_id, 3)
+    # 60 forms, 14 norm forms, 1 functional for the bundled models, 240 for the grid
+    assert len(seen) == 60 + 14 + 1 + 240
+    for m in seen:
+        assert signature(m) == reference_signature(m)
