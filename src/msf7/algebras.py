@@ -22,6 +22,13 @@ the Cayley-Dickson second slot is the unique one for which x x~ = <x, x> 1
 stays central once the base algebra is noncommutative; the variant with the
 final product reversed fails that identity for quaternion pairs and is
 rejected by the table validator.
+
+The embeddings of the stabilizer catalog act on an algebra;
+:func:`matrix_in_imaginary_basis` writes such a map as a 7x7 matrix in one of
+the frozen imaginary bases at the end of this module.  It reads coordinates
+through the cached inverse of [unit | basis], a signed permutation matrix for
+every frozen basis, so the sparse ``LinearMap.apply`` makes one Fraction
+product per nonzero coordinate instead of a dense 8x8 product.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .exterior import KForm, LinearMap, SymmetricMatrix, kernel, polarize, scal, signature
+from .exterior import KForm, LinearMap, SymmetricMatrix, polarize, scal
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -326,10 +333,16 @@ def triple_form(t: AlgebraTable, basis_map) -> KForm:
     return KForm(3, terms)
 
 
+@cache
+def _coordinates_in(columns: tuple) -> LinearMap:
+    """Inverse of the matrix with these columns, cached per frozen basis."""
+    return LinearMap.from_cols(columns).inverse()
+
+
 def matrix_in_imaginary_basis(t: AlgebraTable, basis, images) -> LinearMap:
     """7x7 matrix whose column j holds the coordinates of images[j] in the
     given 7-element imaginary basis; raises if an image has a unit component."""
-    pinv = LinearMap.from_cols([t.unit().coords] + [b.coords for b in basis]).inverse()
+    pinv = _coordinates_in((t.unit().coords, *(b.coords for b in basis)))
     cols = []
     for image in images:
         c = pinv.apply(image.coords)
@@ -402,14 +415,3 @@ def split_octonion_prime_basis() -> list:
     return [-_pair(t, _I, _Z), -_pair(t, _J, _Z), -_pair(t, _K, _Z), -_pair(t, _Z, _ONE),
             _pair(t, _Z, _I), _pair(t, _Z, _J), _pair(t, _Z, _K)]
 
-
-def norm_signature(t: AlgebraTable, imaginary_only: bool = False) -> tuple[int, int, int]:
-    """Signature of the norm form, optionally restricted to the orthogonal
-    complement of the unit."""
-    if not imaginary_only:
-        return signature(t.norm)
-    unit_row = [t.norm.rows[t.unit_index][j] for j in range(t.dim)]
-    comp = kernel([unit_row])
-    gram = [[sum(u[a] * t.norm.rows[a][b] * v[b] for a in range(t.dim) for b in range(t.dim))
-             for v in comp] for u in comp]
-    return signature(gram)

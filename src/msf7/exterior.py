@@ -15,27 +15,36 @@ Main objects:
 * ``signature`` -- exact signature of a rational symmetric matrix
 
 ``_sort_with_sign`` is the single sign routine: ``wedge`` and the
-constructors take their signs and repeated-index zeros from it, and
-``pullback`` is a sum of wedges.  ``forms7``'s index tables are read off
-``wedge`` on basis monomials, so no other module knows a sign.
+constructors take their signs and repeated-index zeros from it.  The index
+tables live here too: ``_SUBSETS`` (increasing index tuples of each degree),
+``_INDEX`` (their positions) and the cached ``_wedge_table`` of basis
+products, read off ``wedge`` on basis monomials, so no other module knows a
+sign; ``forms7`` imports them.  ``pullback`` is a table-driven wedge in
+Python ints: the rows of g and the coefficients of the form are scaled to
+integers by the lcm of their denominators, each index prefix of a term is
+wedged with the next row through ``_wedge_table(j - 1, 1)`` once, and one
+Fraction is made per nonzero output coefficient.
 ``_echelon`` is the single elimination routine: fraction-free (Bareiss) row
-reduction in Python ints.  ``rank``, ``kernel``, all determinants,
-``LinearMap.inverse`` and span tests elsewhere in the package are built on
-it.  ``signature`` eliminates nothing: it reads the inertia off the integer
-characteristic polynomial (Faddeev-LeVerrier) by Descartes' rule of signs,
-which is exact because a symmetric matrix has only real eigenvalues.
+reduction in Python ints.  ``rank``, ``kernel``, all determinants and
+``LinearMap.inverse`` are built on it.  ``signature`` eliminates nothing: it
+reads the inertia off the integer characteristic polynomial
+(Faddeev-LeVerrier) by Descartes' rule of signs, which is exact because a
+symmetric matrix has only real eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 
 DIM = 7
+_F0 = Fraction(0)
 
 
 def scal(x) -> Fraction:
@@ -145,9 +154,6 @@ class KForm:
     def __hash__(self):
         return hash((self.degree, frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "KForm") -> "KForm":
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
@@ -232,6 +238,8 @@ def interior(v: Sequence[Fraction], a: KForm) -> KForm:
     """Contraction of v into the first slot: (interior(v, a))(...) = a(v, ...)."""
     if a.degree == 0:
         raise ValueError("cannot contract a scalar")
+    if len(v) != DIM:
+        raise ValueError(f"expected a vector of length {DIM}, got {len(v)}")
     acc: dict[tuple[int, ...], Fraction] = {}
     for idx, c in a.terms.items():
         for t, i in enumerate(idx):
@@ -285,7 +293,11 @@ class LinearMap:
         return tuple(self.rows[i][j] for i in range(self.n))
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(sum(r[j] * v[j] for j in range(self.n)) for r in self.rows)
+        """g v, summing only the products whose two factors are nonzero."""
+        if len(v) != self.n:
+            raise ValueError(f"expected a vector of length {self.n}, got {len(v)}")
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum((r[j] * x for j, x in nonzero if r[j]), _F0) for r in self.rows)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self * other)."""
@@ -296,9 +308,6 @@ class LinearMap:
                           for row in self.rows])
 
     __matmul__ = compose
-
-    def transpose(self) -> "LinearMap":
-        return LinearMap(list(zip(*self.rows)))
 
     def det(self) -> Fraction:
         return _det([list(r) for r in self.rows])
@@ -346,23 +355,74 @@ class LinearMap:
         return "LinearMap([" + ", ".join(str([str(x) for x in r]) for r in self.rows) + "])"
 
 
-def pullback(g: LinearMap, a: KForm) -> KForm:
-    """(g* a)(v1,...,vk) = a(g v1,...,g vk); g may be singular.
+# --- index tables and the integer pullback ------------------------------------
 
-    Row i of g is the covector g* e^i, so each term c e^{i1} ^ ... ^ e^{ik}
-    pulls back to c (g* e^{i1}) ^ ... ^ (g* e^{ik}).
+# increasing index tuples of each degree (lexicographic), and their positions
+_SUBSETS = tuple(tuple(combinations(range(1, DIM + 1), k)) for k in range(DIM + 1))
+_INDEX = {s: k for subsets in _SUBSETS for k, s in enumerate(subsets)}
+
+
+@cache
+def _wedge_table(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Entries (a, b, k, sign) with e^(p-subset a) ^ e^(q-subset b) =
+    sign e^((p+q)-subset k), read off ``wedge`` on basis monomials.  Only
+    disjoint subsets are wedged; every other product is zero."""
+    table = []
+    for a, s in enumerate(_SUBSETS[p]):
+        for b, t in enumerate(_SUBSETS[q]):
+            if set(s).isdisjoint(t):
+                [(k, sign)] = wedge(KForm.monomial(s), KForm.monomial(t)).terms.items()
+                table.append((a, b, _INDEX[k], int(sign)))
+    return tuple(table)
+
+
+def _wedge_covector(prefix: list[int], row: list[int], j: int) -> list[int]:
+    """prefix ^ row over the j-subsets, for a (j-1)-form prefix over the
+    (j-1)-subsets and a covector row, both in ints."""
+    out = [0] * len(_SUBSETS[j])
+    for a, b, k, s in _wedge_table(j - 1, 1):
+        if (x := prefix[a]) and (y := row[b]):
+            out[k] += s * x * y
+    return out
+
+
+def _scaled_pullback(g: LinearMap, a: KForm) -> tuple[dict, dict, int, int]:
+    """(p, c, d, s) for a k-form a: with L the lcm of the denominators of g
+    and d that of the coefficients of a, c = d a and p = d L^k g* a, as maps
+    from index tuples to nonzero ints, and s = L^k.
+
+    Row i of L g is L g* e^i, so a term c e^{i1} ^ ... ^ e^{ik} pulls back to
+    c times the wedge of rows i1..ik.  Each prefix e^{i1} ^ ... ^ e^{ij} of
+    a term is pulled back once, as an int vector over the j-subsets.
     """
     if g.n != DIM:
         raise ValueError("dimension mismatch")
-    covectors = [KForm(1, {(j,): x for j, x in enumerate(row, 1)}) for row in g.rows]
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for idx, c in a.terms.items():
-        term = KForm(0, {(): c})
-        for i in idx:
-            term = wedge(term, covectors[i - 1])
-        for J, x in term.terms.items():
-            acc[J] = acc.get(J, 0) + x
-    return KForm(a.degree, acc)
+    k = a.degree
+    d = math.lcm(*(x.denominator for x in a.terms.values()))
+    c = {idx: x.numerator * (d // x.denominator) for idx, x in a.terms.items()}
+    scale = math.lcm(*(x.denominator for row in g.rows for x in row))
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in g.rows]
+    prefixes: dict[tuple[int, ...], list[int]] = {(): [1]}
+    acc: dict[tuple[int, ...], int] = {}
+    for idx, x in c.items():
+        for j in range(1, k + 1):
+            if idx[:j] not in prefixes:
+                prefixes[idx[:j]] = _wedge_covector(prefixes[idx[:j - 1]],
+                                                    rows[idx[j - 1] - 1], j)
+        for J, y in zip(_SUBSETS[k], prefixes[idx]):
+            if y:
+                acc[J] = acc.get(J, 0) + x * y
+    return {J: v for J, v in acc.items() if v}, c, d, scale ** k
+
+
+def pullback(g: LinearMap, a: KForm) -> KForm:
+    """(g* a)(v1,...,vk) = a(g v1,...,g vk); g may be singular.
+
+    Computed in ints by ``_scaled_pullback``; each nonzero coefficient
+    becomes one Fraction at the end.
+    """
+    p, _, d, s = _scaled_pullback(g, a)
+    return KForm(a.degree, {J: Fraction(v, d * s) for J, v in p.items()})
 
 
 # --- exact dense linear algebra: one fraction-free elimination ---------------

@@ -17,8 +17,9 @@ det(g) g^T B g, so l into a multiple of g^T l, and g*(l ^ w) = 0 iff
 l ^ w = 0.  The keys of the eight orbits are distinct (Westwick, "Real
 trivectors of rank seven", 1981), so classify looks them up in a static
 table.  The rank, B and the stabilizer system all read one integer
-contraction matrix (column m is i_{e_m} w, w scaled to integers) and one
-cached table of basis wedge products, read off ``exterior.wedge``.
+contraction matrix (column m is i_{e_m} w, w scaled to integers) and the
+cached tables of basis wedge products, which they import from ``exterior``
+(``_SUBSETS``, ``_INDEX``, ``_wedge_table``) so one copy of each exists.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from .exterior import (
     KForm,
     LinearMap,
     SymmetricMatrix,
+    _INDEX,
+    _SUBSETS,
+    _wedge_table,
     kernel,
     pullback,
     rank,
     signature,
-    wedge,
 )
 
 ORBIT_IDS = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -159,26 +162,9 @@ def canonical(orbit_id: int, variant: str = "standard") -> CanonicalForm:
 
 # --- invariants ---------------------------------------------------------------
 
-# increasing index tuples of each degree (lexicographic), and their positions
-_SUBSETS = tuple(tuple(combinations(range(1, DIM + 1), k)) for k in range(DIM + 1))
-_INDEX = {s: k for subsets in _SUBSETS for k, s in enumerate(subsets)}
 # (column of A[m][p], column of A[p][m]) in the stabilizer system, m < p
 _ANTISYMMETRIC_COLUMNS = tuple((m * DIM + p, p * DIM + m)
                                for m, p in combinations(range(DIM), 2))
-
-
-@cache
-def _wedge_table(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Entries (a, b, k, sign) with e^(p-subset a) ^ e^(q-subset b) =
-    sign e^((p+q)-subset k), read off ``wedge`` on basis monomials.  Only
-    disjoint subsets are wedged; every other product is zero."""
-    table = []
-    for a, s in enumerate(_SUBSETS[p]):
-        for b, t in enumerate(_SUBSETS[q]):
-            if set(s).isdisjoint(t):
-                [(k, sign)] = wedge(KForm.monomial(s), KForm.monomial(t)).terms.items()
-                table.append((a, b, _INDEX[k], int(sign)))
-    return tuple(table)
 
 
 def _scaled_coefficients(w: KForm) -> tuple[list[int], int]:

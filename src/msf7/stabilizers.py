@@ -34,7 +34,7 @@ from .algebras import (
     split_quaternion_coords,
     split_so4_basis,
 )
-from .exterior import KForm, LinearMap, _echelon, pullback, scal, wedge
+from .exterior import KForm, LinearMap, _scaled_pullback, pullback, scal, wedge
 from .forms7 import BASIS_MAP_6, BASIS_MAP_7, canonical, classify, compact_dim
 
 _F0 = Fraction(0)
@@ -42,10 +42,14 @@ _F1 = Fraction(1)
 
 
 def verify_membership(g: LinearMap, w: KForm) -> bool:
-    """True iff the pullback of w under g equals w exactly."""
+    """True iff the pullback of w under g equals w exactly.
+
+    Compared in ints: with g scaled by L to integers, g* w = w iff the
+    scaled pullback equals L^3 times the scaled coefficients of w."""
     if w.degree != 3:
         raise ValueError("membership checks expect a 3-form")
-    return pullback(g, w) == w
+    pulled, coeffs, _, scale = _scaled_pullback(g, w)
+    return pulled == {idx: scale * x for idx, x in coeffs.items()}
 
 
 # --- rational parametrizations ------------------------------------------------
@@ -161,14 +165,6 @@ def embed_so4(a, b, split: bool = False) -> LinearMap:
     return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
 
-def embed_so4_algebra_matrix(a, b, split: bool = False) -> list:
-    """Full 8x8 matrix of the same pair action on the (split) octonions, for
-    automorphism checks."""
-    t, fn = _so4_action(a, b, split)
-    cols = [fn(t.basis(j)).coords for j in range(8)]
-    return [[cols[j][i] for j in range(8)] for i in range(8)]
-
-
 def embed_sl2pair(a, b) -> LinearMap:
     """7x7 matrix of (p, q) -> (a p a^-1, a q b^-1) for 2x2 rational matrices
     with det a, det b = +-1 and det(ab) = 1; stabilizes the orbit-2 alternate
@@ -211,16 +207,6 @@ def embed_gl2pair(a, b) -> LinearMap:
     if not da or not db:
         raise ValueError("parameters must be invertible")
     return _block_diag([[1 / da]], [[1 / db]], a, b, [[da * db]])
-
-
-def in_matrix_span(candidates: list[LinearMap], target: LinearMap) -> bool:
-    """Exact membership of target in the linear span of candidate matrices:
-    one elimination of [candidates | target], in the span iff the target's
-    column is not a pivot column."""
-    n = target.n
-    mats = list(candidates) + [target]
-    rows = [[m.rows[i][j] for m in mats] for i in range(n) for j in range(n)]
-    return len(candidates) not in _echelon(rows)[1]
 
 
 # --- the torus realization ------------------------------------------------------

@@ -1,6 +1,11 @@
 """Shared hypothesis strategies for exact forms, vectors and matrices, an
-evaluation oracle for forms, and the congruence signature the package used
-before it read signatures off the characteristic polynomial."""
+evaluation oracle for forms, the congruence signature the package used
+before it read signatures off the characteristic polynomial, and the
+wedge-based pullback it used before the integer one.
+
+Also the oracles only the tests call: the 8x8 matrix of the SO(4) pair
+action, a span test for matrices, the norm-form signature of an algebra and
+the matrix transpose."""
 
 from __future__ import annotations
 
@@ -11,7 +16,17 @@ from math import prod
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from msf7.exterior import DIM, KForm, LinearMap
+from msf7.algebras import AlgebraTable
+from msf7.exterior import (
+    DIM,
+    KForm,
+    LinearMap,
+    _echelon,
+    kernel,
+    signature,
+    wedge,
+)
+from msf7.stabilizers import _so4_action
 
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -119,3 +134,54 @@ def reference_signature(rows) -> tuple[int, int, int]:
                     a[t][i] -= f * a[t][k]
         k += 1
     return pos, neg, n - pos - neg
+
+
+def wedge_pullback(g: LinearMap, a: KForm) -> KForm:
+    """pullback as the package computed it before it worked in ints: row i
+    of g is the covector g* e^i, so each term c e^{i1} ^ ... ^ e^{ik} pulls
+    back to c (g* e^{i1}) ^ ... ^ (g* e^{ik}), a product of Fraction wedges."""
+    if g.n != DIM:
+        raise ValueError("dimension mismatch")
+    covectors = [KForm(1, {(j,): x for j, x in enumerate(row, 1)}) for row in g.rows]
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for idx, c in a.terms.items():
+        term = KForm(0, {(): c})
+        for i in idx:
+            term = wedge(term, covectors[i - 1])
+        for J, x in term.terms.items():
+            acc[J] = acc.get(J, 0) + x
+    return KForm(a.degree, acc)
+
+
+def transpose(g: LinearMap) -> LinearMap:
+    return LinearMap(list(zip(*g.rows)))
+
+
+def in_matrix_span(candidates: list[LinearMap], target: LinearMap) -> bool:
+    """Exact membership of target in the linear span of candidate matrices:
+    one elimination of [candidates | target], in the span iff the target's
+    column is not a pivot column."""
+    n = target.n
+    mats = list(candidates) + [target]
+    rows = [[m.rows[i][j] for m in mats] for i in range(n) for j in range(n)]
+    return len(candidates) not in _echelon(rows)[1]
+
+
+def embed_so4_algebra_matrix(a, b, split: bool = False) -> list:
+    """Full 8x8 matrix of the pair action behind ``embed_so4`` on the (split)
+    octonions, for automorphism checks."""
+    t, fn = _so4_action(a, b, split)
+    cols = [fn(t.basis(j)).coords for j in range(8)]
+    return [[cols[j][i] for j in range(8)] for i in range(8)]
+
+
+def norm_signature(t: AlgebraTable, imaginary_only: bool = False) -> tuple[int, int, int]:
+    """Signature of the norm form, optionally restricted to the orthogonal
+    complement of the unit."""
+    if not imaginary_only:
+        return signature(t.norm)
+    unit_row = [t.norm.rows[t.unit_index][j] for j in range(t.dim)]
+    comp = kernel([unit_row])
+    gram = [[sum(u[a] * t.norm.rows[a][b] * v[b] for a in range(t.dim) for b in range(t.dim))
+             for v in comp] for u in comp]
+    return signature(gram)

@@ -1,11 +1,15 @@
-"""Static guards: the package source never touches floats, and only
-``exterior`` knows the sign convention.
+"""Static guards: the package source never touches floats, only
+``exterior`` knows the sign convention, and only ``exterior`` defines the
+index tables.
 
 Every module of ``msf7`` is parsed with ``ast``.  A float (or complex)
 literal, the name ``float``, or a ``math`` function other than the integer
 ones (``lcm``, ``gcd``, ``isqrt``) fails the scan.  So does any mention of
 the sign routine ``_sort_with_sign`` outside ``exterior.py``: other modules
-read their signs off ``wedge`` and ``interior``.
+read their signs off ``wedge`` and ``interior``.  A definition of
+``_SUBSETS``, ``_INDEX`` or ``_wedge_table`` (an assignment, a def or a
+class) outside ``exterior.py`` fails too: other modules import them, so one
+copy of each table exists.
 """
 
 from __future__ import annotations
@@ -90,3 +94,49 @@ def test_only_exterior_knows_signs(path):
 ])
 def test_sign_scan_catches(snippet):
     assert sign_routine_uses(snippet)
+
+
+INDEX_TABLES = {"_SUBSETS", "_INDEX", "_wedge_table"}
+
+
+def index_table_definitions(source: str) -> list[str]:
+    """Index tables the source defines: assigned names, defs and classes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name in INDEX_TABLES:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_exterior_defines_the_index_tables():
+    source = (Path(msf7.__file__).parent / "exterior.py").read_text(encoding="utf-8")
+    assert {d.split(": ")[1] for d in index_table_definitions(source)} == INDEX_TABLES
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exterior.py"],
+                         ids=lambda p: p.name)
+def test_only_exterior_defines_index_tables(path):
+    assert index_table_definitions(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "_SUBSETS = ()",
+    "_INDEX: dict = {}",
+    "_SUBSETS, x = (), 1",
+    "for _INDEX in range(3):\n    pass",
+    "def _wedge_table(p, q):\n    return ()",
+    "from functools import cache\n@cache\ndef _wedge_table(p, q):\n    return ()",
+])
+def test_index_table_scan_catches(snippet):
+    assert index_table_definitions(snippet)
+
+
+def test_index_table_scan_allows_imports():
+    assert index_table_definitions(
+        "from .exterior import _INDEX, _SUBSETS, _wedge_table\nx = _SUBSETS[3]") == []

@@ -28,16 +28,18 @@ from msf7.exterior import (
     wedge,
 )
 from msf7.forms7 import _stabilizer_system, canonical
-from msf7.stabilizers import in_matrix_span
 
 from conftest import (
     coefficients,
     evaluate,
+    in_matrix_span,
     invertible_maps,
     kforms,
     linear_maps,
     reference_signature,
+    transpose,
     vectors,
+    wedge_pullback,
 )
 
 
@@ -103,7 +105,7 @@ class TestConstructor:
     def test_degree_above_seven_rejected(self):
         # no strictly increasing index tuple of length 8 exists in 1..7, so
         # zero is the only 8-form
-        assert KForm(8).is_zero() and KForm(8).degree == 8
+        assert not KForm(8).terms and KForm(8).degree == 8
         with pytest.raises(ValueError, match="degree -1 is negative"):
             KForm(-1)
         with pytest.raises(ValueError, match="out of range 1..7"):
@@ -124,7 +126,7 @@ class TestConstructor:
 
 class TestWedge:
     def test_repeated_covector_vanishes(self):
-        assert wedge(alpha(1), alpha(1)).is_zero()
+        assert not wedge(alpha(1), alpha(1)).terms
 
     def test_antisymmetry_of_covectors(self):
         assert wedge(alpha(1), alpha(2)) == alpha(1, 2)
@@ -136,8 +138,8 @@ class TestWedge:
 
     def test_degree_overflow_is_zero(self):
         a = alpha(1, 2, 3, 4)
-        assert wedge(a, a).is_zero()
-        assert wedge(a, alpha(5, 6, 7, 1)).is_zero()
+        assert not wedge(a, a).terms
+        assert not wedge(a, alpha(5, 6, 7, 1)).terms
 
     def test_degree_overflow_keeps_its_degree(self):
         a = alpha(1, 2, 3, 4)
@@ -168,7 +170,7 @@ class TestInterior:
         assert got == alpha(2, 3) + alpha(4, 5) - alpha(6, 7)
 
     def test_absent_index_gives_zero(self):
-        assert interior(basis_vector(7), alpha(1, 2, 3)).is_zero()
+        assert not interior(basis_vector(7), alpha(1, 2, 3)).terms
 
     def test_vector_sum_against_hand_expansion(self):
         v = vec(1, 1)
@@ -215,7 +217,7 @@ class TestPullback:
 
     def test_singular_maps_allowed(self):
         g = LinearMap.scaling(0)
-        assert pullback(g, canonical(8).form).is_zero()
+        assert not pullback(g, canonical(8).form).terms
 
     @settings(max_examples=30)
     @given(g=linear_maps(), h=linear_maps(), a=kforms(degree=2, max_terms=3))
@@ -241,6 +243,60 @@ class TestPullback:
     @given(g=maps_of_every_kind(), a=forms_of_any_degree())
     def test_agrees_with_minor_expansion(self, g, a):
         assert pullback(g, a) == reference_pullback(g, a)
+
+
+class TestIntegerPullback:
+    """The integer pullback against the Fraction wedge of covectors it
+    replaced (``wedge_pullback`` in conftest)."""
+
+    @settings(max_examples=100)
+    @given(g=maps_of_every_kind(), a=forms_of_any_degree())
+    @example(g=LinearMap.scaling(0), a=KForm(3, {(1, 2, 3): 1}))
+    @example(g=LinearMap.identity(), a=KForm(0, {(): Fraction(-3, 4)}))
+    @example(g=LinearMap.identity(), a=KForm(5))
+    def test_agrees_with_wedge_pullback(self, g, a):
+        got = pullback(g, a)
+        assert got == wedge_pullback(g, a)
+        assert all(type(x) is Fraction for x in got.terms.values())
+
+    def test_forms_above_degree_seven_pull_back_to_zero(self):
+        assert pullback(LinearMap.identity(), KForm(8)) == KForm(8)
+
+
+@st.composite
+def sparse_maps_and_vectors(draw):
+    """n x n integer matrix (n = 1..8) with some rows and columns zeroed,
+    and a rational length-n vector with some zero entries."""
+    n = draw(st.integers(1, 8))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        rows[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1))):
+        for row in rows:
+            row[j] = 0
+    v = [draw(st.one_of(st.just(Fraction(0)), coefficients)) for _ in range(n)]
+    return LinearMap(rows), v
+
+
+class TestApply:
+    @settings(max_examples=60)
+    @given(case=sparse_maps_and_vectors())
+    def test_sparse_apply_equals_dense_sum(self, case):
+        g, v = case
+        dense = tuple(sum((r[j] * v[j] for j in range(g.n)), Fraction(0)) for r in g.rows)
+        got = g.apply(v)
+        assert got == dense
+        assert all(type(x) is Fraction for x in got)
+
+    @pytest.mark.parametrize("v", [[1, 2, 3, 4], [1, 2], []])
+    def test_wrong_length_vector_rejected(self, v):
+        with pytest.raises(ValueError, match="expected a vector of length 3"):
+            LinearMap.identity(3).apply(v)
+
+    @pytest.mark.parametrize("v", [[1, 0, 0, 0, 0, 0, 0, 5], [0, 0, 1], []])
+    def test_interior_rejects_wrong_length_vector(self, v):
+        with pytest.raises(ValueError, match="expected a vector of length 7"):
+            interior(v, alpha(1, 2, 3))
 
 
 class TestKernel:
@@ -434,7 +490,7 @@ class TestSignature:
         for i in range(n):
             for j in range(i, n):
                 s[i][j] = s[j][i] = data.draw(st.integers(-3, 3))
-        pt_s_p = (p.transpose() @ LinearMap(s) @ p).rows
+        pt_s_p = (transpose(p) @ LinearMap(s) @ p).rows
         assert signature(s) == signature(pt_s_p)
 
     @settings(max_examples=300)

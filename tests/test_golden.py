@@ -36,8 +36,8 @@ from itertools import combinations, product
 
 import pytest
 
-from msf7 import algebras, forms7, topology
-from msf7.algebras import ALGEBRA_KINDS, build_algebra, norm_signature
+from msf7 import forms7, topology
+from msf7.algebras import ALGEBRA_KINDS, build_algebra
 from msf7.cli import main
 from msf7.exterior import DIM, KForm, LinearMap, interior, pullback, signature, wedge
 from msf7.forms7 import (
@@ -64,7 +64,6 @@ from msf7.stabilizers import (
     embed_sl2pair,
     embed_so3_33,
     embed_so4,
-    embed_so4_algebra_matrix,
     rotation_cs,
     sample_gl2,
     sample_sl2pair,
@@ -73,7 +72,8 @@ from msf7.stabilizers import (
     verify_paper,
 )
 
-from conftest import reference_signature
+import conftest
+from conftest import embed_so4_algebra_matrix, norm_signature, reference_signature
 
 ALGEBRA_DIGESTS = {
     "R": "961f745a059809bb3e6297f2e45637b882ebe4cf904f505d1b5c95aa217752f1",
@@ -404,7 +404,7 @@ def test_signature_agrees_with_congruence_reference(monkeypatch):
         seen.append(m)
         return signature(m)
 
-    for module in (forms7, algebras, topology):
+    for module in (forms7, conftest, topology):
         monkeypatch.setattr(module, "signature", recording)
     for group in _form_corpus().values():
         for w in group:

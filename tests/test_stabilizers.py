@@ -17,7 +17,6 @@ from msf7.stabilizers import (
     embed_sl2pair,
     embed_so3_33,
     embed_so4,
-    embed_so4_algebra_matrix,
     identity_checks,
     rotation_cs,
     sample_gl2,
@@ -28,6 +27,8 @@ from msf7.stabilizers import (
     verify_membership,
     verify_paper,
 )
+
+from conftest import embed_so4_algebra_matrix, wedge_pullback
 
 rng = random.Random(424242)
 
@@ -51,6 +52,62 @@ class TestVerifyMembership:
     def test_degree_checked(self):
         with pytest.raises(ValueError):
             verify_membership(LinearMap.identity(), KForm.monomial([1, 2]))
+
+
+def _catalog_members():
+    """(name, map, form) for a draw of every catalog embedding, the torus and
+    each named transformation that claims to stabilize its target."""
+    r = random.Random(20261018)
+
+    def frac():
+        return Fraction(r.randint(-3, 3), r.randint(1, 3))
+
+    def quat():
+        return unit_quaternion(frac(), frac(), frac())
+
+    w = {i: canonical(i).form for i in (1, 4, 5, 7, 8)}
+    w2p = canonical(2, "prime").form
+    cases = []
+    for k in range(3):
+        a, b = quat(), quat()
+        cases += [(f"so4/{k}/orbit8", embed_so4(a, b), w[8]),
+                  (f"so4/{k}/orbit7", embed_so4(a, b), w[7]),
+                  (f"so4-split/{k}/orbit5", embed_so4(a, b, split=True), w[5]),
+                  (f"sl2pair/{k}", embed_sl2pair(*sample_sl2pair(r)), w2p),
+                  (f"so3/{k}", embed_so3_33(cayley_so3(frac(), frac(), frac())), w[4]),
+                  (f"gl2pair/{k}", embed_gl2pair(sample_gl2(r), sample_gl2(r)), w[1]),
+                  (f"torus/{k}", torus_matrix(rotation_cs(frac()), rotation_cs(frac())), w2p)]
+    cases += [(t.name, t.map, canonical(*t.target).form)
+              for t in catalog() if t.claim == "stabilizes"]
+    return cases
+
+
+CATALOG_MEMBERS = _catalog_members()
+
+
+def _perturbed(g: LinearMap, i: int, j: int, delta) -> LinearMap:
+    rows = [list(row) for row in g.rows]
+    rows[i][j] += delta
+    return LinearMap(rows)
+
+
+class TestMembershipAgainstWedgePullback:
+    """verify_membership compares integer vectors; the Fraction wedge
+    pullback of conftest must give the same verdict."""
+
+    @pytest.mark.parametrize("case", CATALOG_MEMBERS, ids=lambda c: c[0])
+    def test_members_agree(self, case):
+        _, g, w = case
+        assert verify_membership(g, w)
+        assert wedge_pullback(g, w) == w
+
+    @pytest.mark.parametrize("case", CATALOG_MEMBERS, ids=lambda c: c[0])
+    def test_one_entry_perturbations_agree(self, case):
+        name, g, w = case
+        r = random.Random(name)
+        for delta in (1, Fraction(-1, 2)):
+            h = _perturbed(g, r.randrange(7), r.randrange(7), delta)
+            assert verify_membership(h, w) == (wedge_pullback(h, w) == w)
 
 
 class TestCatalog:
