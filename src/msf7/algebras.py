@@ -150,8 +150,11 @@ def norm(t: AlgebraTable, x: AlgebraElement) -> Fraction:
 
 
 def inner(t: AlgebraTable, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-    return sum(x.coords[i] * t.norm.rows[i][j] * y.coords[j]
-               for i in range(t.dim) for j in range(t.dim))
+    """x^T N y for the norm matrix N, summing only the products whose three
+    factors are nonzero."""
+    ys = [(j, c) for j, c in enumerate(y.coords) if c]
+    return sum((xi * n * yj for xi, row in zip(x.coords, t.norm.rows) if xi
+                for j, yj in ys if (n := row[j])), _F0)
 
 
 def is_automorphism(t: AlgebraTable, g) -> bool:

@@ -293,10 +293,11 @@ class LinearMap:
         return tuple(self.rows[i][j] for i in range(self.n))
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """g v, summing only the products whose two factors are nonzero."""
+        """g v, summing only the products whose two factors are nonzero; each
+        nonzero entry goes through ``scal``, so a float or a bool raises."""
         if len(v) != self.n:
             raise ValueError(f"expected a vector of length {self.n}, got {len(v)}")
-        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        nonzero = [(j, scal(x)) for j, x in enumerate(v) if x]
         return tuple(sum((r[j] * x for j, x in nonzero if r[j]), _F0) for r in self.rows)
 
     def compose(self, other: "LinearMap") -> "LinearMap":

@@ -12,19 +12,25 @@ decides the published criteria:
     type 2      (simply connected) spin and cup(e,e)+cup(f,f)+cup(e,f) = p1/2
     type 1      (simply connected) e+f = w2 mod 2 and cup(e,e)+cup(f,f) = p1
 
-Searches run over integer coordinate boxes, enumerated by max-norm shells in
+Searches run over integer coordinate boxes, in max-norm shells and
 lexicographic order so the reported witness is deterministic and independent
 of the bound.  NO is only returned with a proof: a divisibility obstruction,
 an identically-zero form against a nonzero target, or a positive/negative
 definite functional of the cup form whose coordinate bounds fall inside the
 searched box.  Anything else unresolved at the bound is UNKNOWN.
 
-Proofs are tried before the enumeration.  An identically-zero form against a
+Proofs are tried before the search.  An identically-zero form against a
 nonzero target is NO without a search.  When a definite functional bounds
-every solution by some box b <= bound, only the shells up to b are
-enumerated: they contain every solution, so the first witness in shell order,
-and with it the verdict, is the one the full box would give, in (2b+1)^d
-candidates instead of (2 bound+1)^d.
+every solution by some box b <= bound, only the shells up to b are searched:
+they contain every solution, so the first witness in shell order, and with
+it the verdict, is the one the full box would give.
+
+The last coordinate is solved for, not enumerated: for each prefix of the
+others, the first component of the criterion is a quadratic in it with
+integer coefficients, and only its integer roots (``math.isqrt``) that lie in the
+shell are checked against the criterion.  Every solution in the box is still
+checked, in the same order, so witnesses and verdicts are those of a full
+enumeration, at about (2b+1)^d / 2d prefixes for a box of (2b+1)^d points.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import product
+from operator import mul
 
 from .exterior import LinearMap, json_int, polarize, signature
 
@@ -180,28 +187,46 @@ def cup_eval(model: CohomologyModel, e, f) -> tuple[int, ...]:
 
 # --- bounded search with proofs -------------------------------------------------
 
-def _shell_vectors(dim: int, bound: int):
-    """All integer vectors with max-norm <= bound, by shell then lexicographic."""
+def _roots(a: int, l: int, c: int):
+    """Integer roots of a z^2 + 2 l z + c, ascending; None when every z is one."""
+    if a:
+        disc = l * l - a * c
+        r = math.isqrt(disc) if disc >= 0 else -1
+        if r * r != disc:
+            return ()
+        return sorted({n // a for n in (-l - r, -l + r) if n % a == 0})
+    if l:
+        return (-c // (2 * l),) if c % (2 * l) == 0 else ()
+    return None if c == 0 else ()
+
+
+def _candidates(qvec, dim: int, r4: int, target, bound: int):
+    """The vectors of max-norm <= bound, by shell then lexicographic, that can
+    solve qvec(x) == target.  Component 0 becomes the integer matrix a with
+    x^T a x = 2 q_0(x), so a prefix p turns q_0(p, z) = t_0 into
+    a_zz z^2 + 2 l z + c = 0; every z of the shell is yielded when all solve it.
+    """
     if dim == 0:
         yield ()
         return
-    for shell in range(bound + 1):
-        yield from _shell(dim, shell)
-
-
-def _shell(dim: int, s: int):
-    """Vectors of max-norm exactly s in lexicographic order, generated from
-    the boundary of the cube [-s, s]^dim only."""
-    full = range(-s, s + 1)
-    for x in full:
-        if abs(x) == s:
-            tails = product(full, repeat=dim - 1)
-        elif dim > 1:
-            tails = _shell(dim - 1, s)
-        else:
-            continue
-        for rest in tails:
-            yield (x,) + rest
+    a, t2 = [[0] * dim for _ in range(dim)], 0  # r4 = 0: every z solves it
+    if r4:
+        # twice the polarization of an integer-valued form is integral
+        a = [[int(2 * v) for v in row] for row in polarize(lambda x: qvec(x)[0], dim)]
+        t2 = 2 * target[0]
+    *head, last = a
+    a_zz = last[-1]
+    for s in range(bound + 1):
+        full = range(-s, s + 1)
+        for p in product(full, repeat=dim - 1):
+            l = sum(map(mul, last, p))
+            c = sum(pi * sum(map(mul, row, p)) for pi, row in zip(p, head)) - t2
+            roots = _roots(a_zz, l, c)
+            # a prefix inside the shell needs |z| = s
+            low = s if max(map(abs, p), default=0) < s else 0
+            for z in full if roots is None else roots:
+                if low <= abs(z) <= s:
+                    yield p + (z,)
 
 
 def _definite_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
@@ -251,7 +276,7 @@ def _search(model: CohomologyModel, dim: int, qvec, target, extra_ok, bound: int
     """Shared bounded search: find x with qvec(x) == target and extra_ok(x).
 
     The NO proofs are tried first; a definite functional's box, when it is
-    within the bound, limits the shells enumerated (see the module notes).
+    within the bound, limits the shells searched (see the module notes).
     """
     target = tuple(target)
     zero_form = all(v == 0 for row in model.cup for cell in row for v in cell)
@@ -260,13 +285,9 @@ def _search(model: CohomologyModel, dim: int, qvec, target, extra_ok, bound: int
                        "cup form is identically zero but the target class is not")
     box = _definite_exhaustion_bound(qvec, dim, model.r4, target)
     exhaustive = box is not None and box <= bound
-    for x in _shell_vectors(dim, box if exhaustive else bound):
+    for x in _candidates(qvec, dim, model.r4, target, box if exhaustive else bound):
         if qvec(x) == target and extra_ok(x):
             return Verdict(ADMITS, witness_split(x), bound)
-    if zero_form:
-        # target zero and form zero: the congruence side must have failed
-        return Verdict(UNKNOWN, None, bound,
-                       "no admissible congruence representative in the box")
     if exhaustive:
         return Verdict(NO, None, bound,
                        f"definite functional bounds all solutions by {box}; "

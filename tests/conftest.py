@@ -5,12 +5,13 @@ wedge-based pullback it used before the integer one.
 
 Also the oracles only the tests call: the 8x8 matrix of the SO(4) pair
 action, a span test for matrices, the norm-form signature of an algebra and
-the matrix transpose."""
+the matrix transpose, and the max-norm shell enumeration the topology search
+ran before it solved for the last coordinate."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import prod
 
 from hypothesis import assume
@@ -185,3 +186,27 @@ def norm_signature(t: AlgebraTable, imaginary_only: bool = False) -> tuple[int, 
     gram = [[sum(u[a] * t.norm.rows[a][b] * v[b] for a in range(t.dim) for b in range(t.dim))
              for v in comp] for u in comp]
     return signature(gram)
+
+
+def _shell_vectors(dim: int, bound: int):
+    """All integer vectors with max-norm <= bound, by shell then lexicographic."""
+    if dim == 0:
+        yield ()
+        return
+    for shell in range(bound + 1):
+        yield from _shell(dim, shell)
+
+
+def _shell(dim: int, s: int):
+    """Vectors of max-norm exactly s in lexicographic order, generated from
+    the boundary of the cube [-s, s]^dim only."""
+    full = range(-s, s + 1)
+    for x in full:
+        if abs(x) == s:
+            tails = product(full, repeat=dim - 1)
+        elif dim > 1:
+            tails = _shell(dim - 1, s)
+        else:
+            continue
+        for rest in tails:
+            yield (x,) + rest

@@ -293,6 +293,15 @@ class TestApply:
         with pytest.raises(ValueError, match="expected a vector of length 3"):
             LinearMap.identity(3).apply(v)
 
+    @pytest.mark.parametrize("v", [[0.5, 0, 0], [0, True, 0], [1, 0, 2.0]])
+    def test_inexact_entry_rejected(self, v):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            LinearMap.identity(3).apply(v)
+
+    def test_entries_become_fractions(self):
+        got = LinearMap.identity(3).apply([1, "1/2", 0])
+        assert got == (1, Fraction(1, 2), 0) and all(type(x) is Fraction for x in got)
+
     @pytest.mark.parametrize("v", [[1, 0, 0, 0, 0, 0, 0, 5], [0, 0, 1], []])
     def test_interior_rejects_wrong_length_vector(self, v):
         with pytest.raises(ValueError, match="expected a vector of length 7"):

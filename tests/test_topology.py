@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from msf7 import topology
 from msf7.topology import (
     ADMITS,
     NO,
@@ -16,7 +17,6 @@ from msf7.topology import (
     ModelError,
     Verdict,
     _definite_exhaustion_bound,
-    _shell_vectors,
     bundled_model,
     bundled_model_names,
     check_type,
@@ -25,6 +25,8 @@ from msf7.topology import (
     make_model,
     verify_witness,
 )
+
+from conftest import _shell_vectors
 
 
 def model_dict(**overrides):
@@ -360,3 +362,121 @@ class TestSearchAgainstFullBox:
             statuses.add((v.status, v.reason.split()[0] if v.reason else ""))
         # the corpus reaches every outcome of the search
         assert statuses == {(ADMITS, ""), (NO, "cup"), (NO, "definite"), (UNKNOWN, "bounded")}
+
+
+def _solver_branch_models(seed: int = 2718):
+    """(model, type, bound) triples aimed at the branches of the last-coordinate
+    solve that the full-box corpus may miss: a zero last diagonal entry (the
+    linear case), a zero last row (every z or none), r4 = 0, r4 = 2 with
+    component 0 zero, dim 1, and bounds up to 6 at dim <= 4."""
+    rng = random.Random(seed)
+    kinds = ("last_diagonal", "last_row", "r4_zero", "component0", "dim1")
+    cases = []
+    for k in range(150):
+        kind = kinds[k % len(kinds)]
+        type_id = 4 if kind == "dim1" else (1, 2, 4)[k // len(kinds) % 3]
+        r2 = 1 if kind == "dim1" else rng.choice((1, 2, 2, 3) if type_id == 4 else (1, 2, 2))
+        r4 = 0 if kind == "r4_zero" else 2 if kind == "component0" else rng.randint(1, 2)
+        cup = [[None] * r2 for _ in range(r2)]
+        for i in range(r2):
+            for j in range(i, r2):
+                cup[i][j] = cup[j][i] = [rng.randint(-3, 3) for _ in range(r4)]
+        if kind == "last_diagonal":
+            cup[-1][-1] = [0] * r4
+        elif kind == "last_row":
+            for i in range(r2):
+                cup[i][-1] = cup[-1][i] = [0] * r4
+        elif kind == "component0":
+            for row in cup:
+                for cell in row:
+                    cell[0] = 0
+        spin = type_id != 1
+        dim = r2 if type_id == 4 else 2 * r2
+        # a planted value half the time, a random target otherwise
+        x = [rng.randint(-4, 4) for _ in range(dim)]
+        e, f = (x, [0] * r2) if type_id == 4 else (x[:r2], x[r2:])
+        model = make_model(model_dict(r2=r2, r4=r4, cup=cup, p1=[0] * r4, w2=[0] * r2))
+        value = [a + b + c * (type_id == 2) for a, b, c in
+                 zip(cup_eval(model, e, e), cup_eval(model, f, f), cup_eval(model, e, f))]
+        if k % 2:
+            value = [rng.randint(-9, 9) for _ in range(r4)]
+        p1 = [v * (2 if spin else 1) for v in value]
+        w2 = [0] * r2 if spin else [rng.randint(0, 1) for _ in range(r2)]
+        if dim <= 2:
+            bound = rng.randint(1, 6)
+        else:
+            bound = rng.randint(4, 6) if k % 4 == 0 else rng.randint(1, 3)
+        model = make_model(model_dict(r2=r2, r4=r4, cup=cup, p1=p1, w2=w2, spin=spin))
+        cases.append((model, type_id, bound))
+    return cases
+
+
+class TestSolvedSearch:
+    def test_branch_corpus_matches_full_box_search(self, monkeypatch):
+        """Every branch of the last-coordinate solve is reached, and each
+        verdict is the full box's."""
+        branches = set()
+        roots = topology._roots
+
+        def spy(a, l, c):
+            got = roots(a, l, c)
+            branches.add("quadratic" if a else "linear" if l
+                         else "every z" if got is None else "none")
+            return got
+
+        monkeypatch.setattr(topology, "_roots", spy)
+        statuses = set()
+        for model, type_id, bound in _solver_branch_models():
+            v = check_type(model, type_id, bound)
+            assert v == reference_search(model, type_id, bound), (model, type_id, bound)
+            statuses.add(v.status)
+        assert branches == {"quadratic", "linear", "every z", "none"}
+        assert statuses == {ADMITS, NO, UNKNOWN}
+
+    @pytest.mark.parametrize("p1, w2, witness", [
+        (2, [0, 1], ((-1, 0), (-1, 1))),
+        (7, [1, 1], ((-2, 1), (-1, 2))),
+    ])
+    def test_congruence_rejects_first_root(self, p1, w2, witness):
+        """The smaller root of the witness's prefix solves the equation in the
+        same shell but fails e + f = w2 mod 2, so the search moves on to the
+        second root, as a full enumeration does."""
+        model = make_model(model_dict(r2=2, cup=[[[1], [1]], [[1], [2]]], p1=[p1],
+                                      w2=w2, spin=False))
+        v = check_type(model, 1, 6)
+        assert v == reference_search(model, 1, 6)
+        assert v.witness == witness
+        (e, (f1, f2)) = witness
+        # the roots z of 2 z^2 + 2 f1 z + ... = p1 sum to -f1
+        first = (f1, -f1 - f2)
+        assert first[1] < f2
+        assert max(map(abs, e + first)) == max(map(abs, e + (f1, f2)))
+        assert tuple(map(sum, zip(cup_eval(model, e, e), cup_eval(model, first, first)))) == (p1,)
+        assert (e[1] + first[1] - w2[1]) % 2
+
+    def test_pell_model(self):
+        """x^2 - 13 y^2 = -1 has no solution of max-norm <= 4; its least one is
+        (18, 5), so the box of bound 18 first meets (-18, -5)."""
+        model = make_model(model_dict(r2=2, cup=[[[1], [0]], [[0], [-13]]], p1=[-2],
+                                      w2=[0, 0]))
+        assert check_type(model, 4, 4) == Verdict(UNKNOWN, None, 4, "bounded search inconclusive")
+        assert check_type(model, 4, 18) == Verdict(ADMITS, ((-18, -5),), 18)
+
+    def test_cost_guard_worked_example(self, monkeypatch):
+        """The type-1 model cup diag(1, -1), p1 = 2, w2 = (1, 0) has a mod-2
+        obstruction the search cannot prove, so it exhausts the box of bound
+        16 (33^4 = 1,185,921 points) to UNKNOWN.  Solving for the last
+        coordinate evaluates the cup product on a small fraction of them."""
+        calls = [0]
+        cup = topology.cup_eval
+
+        def counted(*args):
+            calls[0] += 1
+            return cup(*args)
+
+        monkeypatch.setattr(topology, "cup_eval", counted)
+        model = make_model(model_dict(r2=2, cup=[[[1], [0]], [[0], [-1]]], p1=[2],
+                                      w2=[1, 0], spin=False))
+        v = check_type(model, 1, 16)
+        assert (v.status, v.reason) == (UNKNOWN, "bounded search inconclusive")
+        assert calls[0] < 33 ** 4 // 100
