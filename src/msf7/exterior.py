@@ -235,11 +235,13 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
 
 def interior(v: Sequence[Fraction], a: KForm) -> KForm:
-    """Contraction of v into the first slot: (interior(v, a))(...) = a(v, ...)."""
+    """Contraction of v into the first slot: (interior(v, a))(...) = a(v, ...).
+    Each nonzero entry of v goes through ``scal``, so a float or a bool raises."""
     if a.degree == 0:
         raise ValueError("cannot contract a scalar")
     if len(v) != DIM:
         raise ValueError(f"expected a vector of length {DIM}, got {len(v)}")
+    v = [scal(x) if x else _F0 for x in v]
     acc: dict[tuple[int, ...], Fraction] = {}
     for idx, c in a.terms.items():
         for t, i in enumerate(idx):

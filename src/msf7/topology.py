@@ -12,12 +12,18 @@ decides the published criteria:
     type 2      (simply connected) spin and cup(e,e)+cup(f,f)+cup(e,f) = p1/2
     type 1      (simply connected) e+f = w2 mod 2 and cup(e,e)+cup(f,f) = p1
 
+Each criterion is written once as a check, `verify_witness` (through
+`cup_eval`), the only test a search candidate must pass, and once as the
+integer Gram matrices a_k with x^T a_k x = 2 q_k(x) that `_gram` reads off
+the cup tensor; the proofs and the solve below work on these.
+
 Searches run over integer coordinate boxes, in max-norm shells and
 lexicographic order so the reported witness is deterministic and independent
 of the bound.  NO is only returned with a proof: a divisibility obstruction,
 an identically-zero form against a nonzero target, or a positive/negative
-definite functional of the cup form whose coordinate bounds fall inside the
-searched box.  Anything else unresolved at the bound is UNKNOWN.
+definite functional sum lambda_k a_k of the Gram matrices whose coordinate
+bounds fall inside the searched box.  Anything else unresolved at the bound
+is UNKNOWN.
 
 Proofs are tried before the search.  An identically-zero form against a
 nonzero target is NO without a search.  When a definite functional bounds
@@ -26,9 +32,9 @@ they contain every solution, so the first witness in shell order, and with
 it the verdict, is the one the full box would give.
 
 The last coordinate is solved for, not enumerated: for each prefix of the
-others, the first component of the criterion is a quadratic in it with
-integer coefficients, and only its integer roots (``math.isqrt``) that lie in the
-shell are checked against the criterion.  Every solution in the box is still
+others, x^T a_0 x = 2 t_0 is a quadratic in it with integer coefficients,
+and only its integer roots (``math.isqrt``) that lie in the shell are
+checked against the criterion.  Every solution in the box is still
 checked, in the same order, so witnesses and verdicts are those of a full
 enumeration, at about (2b+1)^d / 2d prefixes for a box of (2b+1)^d points.
 """
@@ -43,7 +49,7 @@ from importlib import resources
 from itertools import product
 from operator import mul
 
-from .exterior import LinearMap, json_int, polarize, signature
+from .exterior import LinearMap, json_int, signature
 
 ADMITS = "ADMITS"
 NO = "NO"
@@ -168,8 +174,8 @@ def bundled_model(name: str) -> CohomologyModel:
 
 def cup_eval(model: CohomologyModel, e, f) -> tuple[int, ...]:
     """Bilinear symmetric evaluation of the cup tensor on degree-2 classes."""
-    e = [int(x) for x in e]
-    f = [int(x) for x in f]
+    e = [json_int(x, "coordinate") for x in e]
+    f = [json_int(x, "coordinate") for x in f]
     if len(e) != model.r2 or len(f) != model.r2:
         raise ValueError(f"coordinate vectors must have length {model.r2}")
     out = [0] * model.r4
@@ -200,20 +206,14 @@ def _roots(a: int, l: int, c: int):
     return None if c == 0 else ()
 
 
-def _candidates(qvec, dim: int, r4: int, target, bound: int):
+def _candidates(a, dim: int, t2: int, bound: int):
     """The vectors of max-norm <= bound, by shell then lexicographic, that can
-    solve qvec(x) == target.  Component 0 becomes the integer matrix a with
-    x^T a x = 2 q_0(x), so a prefix p turns q_0(p, z) = t_0 into
-    a_zz z^2 + 2 l z + c = 0; every z of the shell is yielded when all solve it.
+    solve x^T a x = t2.  A prefix p turns it into a_zz z^2 + 2 l z + c = 0;
+    every z of the shell is yielded when all solve it.
     """
     if dim == 0:
         yield ()
         return
-    a, t2 = [[0] * dim for _ in range(dim)], 0  # r4 = 0: every z solves it
-    if r4:
-        # twice the polarization of an integer-valued form is integral
-        a = [[int(2 * v) for v in row] for row in polarize(lambda x: qvec(x)[0], dim)]
-        t2 = 2 * target[0]
     *head, last = a
     a_zz = last[-1]
     for s in range(bound + 1):
@@ -229,16 +229,17 @@ def _candidates(qvec, dim: int, r4: int, target, bound: int):
                     yield p + (z,)
 
 
-def _definite_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
-    """If some +-coordinate or +-sum functional of the vector-valued quadratic
-    form is definite, return a box bound containing all integer solutions of
-    qvec(x) = target (None if no definite functional is found).
+def _definite_exhaustion_bound(grams, dim: int, target) -> int | None:
+    """If some +-coordinate or +-sum functional of the Gram matrices is
+    definite, return a box bound containing all integer solutions of
+    x^T a_k x = 2 t_k for every k (None if no definite functional is found).
 
     A negative functional value with a positive definite form returns 0: no
     nonzero solution can exist and x = 0 is checked separately.
     """
     if dim == 0:
         return 0
+    r4 = len(grams)
     functionals = []
     for c in range(r4):
         lam = [0] * r4
@@ -249,15 +250,12 @@ def _definite_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
         functionals.append(tuple([1] * r4))
         functionals.append(tuple([-1] * r4))
     for lam in functionals:
-        def q_scalar(x, _lam=lam):
-            vals = qvec(x)
-            return sum(l * v for l, v in zip(_lam, vals))
-
-        m = polarize(q_scalar, dim)
+        m = [[sum(l * a[i][j] for l, a in zip(lam, grams)) for j in range(dim)]
+             for i in range(dim)]
         pos, neg, null = signature(m)
         if pos != dim:
             continue
-        s = sum(l * t for l, t in zip(lam, target))
+        s = 2 * sum(l * t for l, t in zip(lam, target))
         if s < 0:
             return 0
         inv = LinearMap(m).inverse()
@@ -271,23 +269,41 @@ def _definite_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
     return None
 
 
-def _search(model: CohomologyModel, dim: int, qvec, target, extra_ok, bound: int,
-            witness_split) -> Verdict:
-    """Shared bounded search: find x with qvec(x) == target and extra_ok(x).
+# block (p, q) of a_k over x = e, or (e, f), is _BLOCKS[type][p][q] C_k
+_BLOCKS = {4: ((2,),), 1: ((2, 0), (0, 2)), 2: ((2, 1), (1, 2))}
+
+
+def _gram(model: CohomologyModel, type_id: int) -> list[list[list[int]]]:
+    """For each component k, the integer a_k with x^T a_k x = 2 q_k(x), q the
+    criterion's cup-square, from C_k[i][j] = cup[i][j][k]."""
+    r2, blocks = model.r2, _BLOCKS[type_id]
+    dim = len(blocks) * r2
+    return [[[blocks[i // r2][j // r2] * model.cup[i % r2][j % r2][k] for j in range(dim)]
+             for i in range(dim)] for k in range(model.r4)]
+
+
+def _search(model: CohomologyModel, type_id: int, target, bound: int) -> Verdict:
+    """Shared bounded search for a witness of type 1, 2 or 4 whose cup-square
+    is target; a candidate is accepted only by ``verify_witness``.
 
     The NO proofs are tried first; a definite functional's box, when it is
     within the bound, limits the shells searched (see the module notes).
     """
-    target = tuple(target)
     zero_form = all(v == 0 for row in model.cup for cell in row for v in cell)
     if zero_form and any(target):
         return Verdict(NO, None, bound,
                        "cup form is identically zero but the target class is not")
-    box = _definite_exhaustion_bound(qvec, dim, model.r4, target)
+    r2, parts = model.r2, len(_BLOCKS[type_id])
+    dim = parts * r2
+    grams = _gram(model, type_id)
+    box = _definite_exhaustion_bound(grams, dim, target)
     exhaustive = box is not None and box <= bound
-    for x in _candidates(qvec, dim, model.r4, target, box if exhaustive else bound):
-        if qvec(x) == target and extra_ok(x):
-            return Verdict(ADMITS, witness_split(x), bound)
+    # component 0 steers the solve; with r4 = 0 every z solves it
+    a, t2 = (grams[0], 2 * target[0]) if grams else ([[0] * dim] * dim, 0)
+    for x in _candidates(a, dim, t2, box if exhaustive else bound):
+        witness = tuple(x[i * r2:(i + 1) * r2] for i in range(parts))
+        if verify_witness(model, type_id, witness):
+            return Verdict(ADMITS, witness, bound)
     if exhaustive:
         return Verdict(NO, None, bound,
                        f"definite functional bounds all solutions by {box}; "
@@ -328,37 +344,12 @@ def check_type(model: CohomologyModel, type_id: int, bound: int = DEFAULT_BOUND)
     if type_id >= 5:
         return Verdict(ADMITS, (), bound, "orientable and spin")
 
-    r2 = model.r2
-
-    def split(x):
-        return (x[:r2], x[r2:])
-
     if type_id == 1:
-        def q1(x):
-            e, f = split(x)
-            return tuple(a + b for a, b in zip(cup_eval(model, e, e),
-                                               cup_eval(model, f, f)))
-
-        def congruent(x):
-            e, f = split(x)
-            return all((a + b - w) % 2 == 0 for a, b, w in zip(e, f, model.w2))
-
-        return _search(model, 2 * r2, q1, tuple(model.p1), congruent, bound, split)
-
+        return _search(model, 1, model.p1, bound)
     half = _halved(model.p1)
     if half is None:
         return Verdict(NO, None, bound, "p1 is not divisible by 2")
-    if type_id == 4:
-        return _search(model, r2, lambda e: cup_eval(model, e, e), half,
-                       lambda e: True, bound, lambda e: (e,))
-
-    def q2(x):
-        e, f = split(x)
-        return tuple(a + b + c for a, b, c in zip(cup_eval(model, e, e),
-                                                  cup_eval(model, f, f),
-                                                  cup_eval(model, e, f)))
-
-    return _search(model, 2 * r2, q2, half, lambda x: True, bound, split)
+    return _search(model, type_id, half, bound)
 
 
 def verify_witness(model: CohomologyModel, type_id: int, witness) -> bool:
@@ -378,8 +369,9 @@ def verify_witness(model: CohomologyModel, type_id: int, witness) -> bool:
         return half is not None and got == half
     if type_id == 1:
         e, f = witness
+        if sum((a + b - w) % 2 for a, b, w in zip(e, f, model.w2, strict=True)):
+            return False
         got = tuple(a + b for a, b in zip(cup_eval(model, e, e),
                                           cup_eval(model, f, f)))
-        cong = all((a + b - w) % 2 == 0 for a, b, w in zip(e, f, model.w2))
-        return cong and got == tuple(model.p1)
+        return got == tuple(model.p1)
     raise ValueError(f"type must be 1..8, got {type_id}")

@@ -5,11 +5,14 @@ wedge-based pullback it used before the integer one.
 
 Also the oracles only the tests call: the 8x8 matrix of the SO(4) pair
 action, a span test for matrices, the norm-form signature of an algebra and
-the matrix transpose, and the max-norm shell enumeration the topology search
-ran before it solved for the last coordinate."""
+the matrix transpose, the max-norm shell enumeration the topology search
+ran before it solved for the last coordinate, and the definite-functional
+bound it computed by polarizing the criterion before it read Gram matrices
+off the cup tensor."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
@@ -24,6 +27,7 @@ from msf7.exterior import (
     LinearMap,
     _echelon,
     kernel,
+    polarize,
     signature,
     wedge,
 )
@@ -210,3 +214,45 @@ def _shell(dim: int, s: int):
             continue
         for rest in tails:
             yield (x,) + rest
+
+
+def reference_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
+    """If some +-coordinate or +-sum functional of the vector-valued quadratic
+    form is definite, return a box bound containing all integer solutions of
+    qvec(x) = target (None if no definite functional is found).
+
+    A negative functional value with a positive definite form returns 0: no
+    nonzero solution can exist and x = 0 is checked separately.
+    """
+    if dim == 0:
+        return 0
+    functionals = []
+    for c in range(r4):
+        lam = [0] * r4
+        lam[c] = 1
+        functionals.append(tuple(lam))
+        functionals.append(tuple(-x for x in lam))
+    if r4 > 1:
+        functionals.append(tuple([1] * r4))
+        functionals.append(tuple([-1] * r4))
+    for lam in functionals:
+        def q_scalar(x, _lam=lam):
+            vals = qvec(x)
+            return sum(l * v for l, v in zip(_lam, vals))
+
+        m = polarize(q_scalar, dim)
+        pos, neg, null = signature(m)
+        if pos != dim:
+            continue
+        s = sum(l * t for l, t in zip(lam, target))
+        if s < 0:
+            return 0
+        inv = LinearMap(m).inverse()
+        box = 0
+        for i in range(dim):
+            # max of x_i^2 on {x^T m x <= s} is s * (m^-1)_ii
+            cap = Fraction(s) * inv.rows[i][i]
+            # floor(sqrt(cap)) == isqrt(floor(cap)) for cap >= 0
+            box = max(box, math.isqrt(cap.numerator // cap.denominator))
+        return box
+    return None

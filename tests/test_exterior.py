@@ -302,6 +302,13 @@ class TestApply:
         got = LinearMap.identity(3).apply([1, "1/2", 0])
         assert got == (1, Fraction(1, 2), 0) and all(type(x) is Fraction for x in got)
 
+    @pytest.mark.parametrize("v", [[0, True, 0, 0, 0, 0, 0], [0.5, 0, 0, 0, 0, 0, 0],
+                                   [0, 0, 0, 0, 0, 0, True]])
+    def test_interior_rejects_inexact_entry(self, v):
+        """Like apply: a bool is not read as 1, even where no term meets it."""
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            interior(v, alpha(1, 2, 3))
+
     @pytest.mark.parametrize("v", [[1, 0, 0, 0, 0, 0, 0, 5], [0, 0, 1], []])
     def test_interior_rejects_wrong_length_vector(self, v):
         with pytest.raises(ValueError, match="expected a vector of length 7"):

@@ -397,7 +397,7 @@ def test_signature_agrees_with_congruence_reference(monkeypatch):
     """signature against the congruence diagonalization it replaced, on every
     matrix its callers hand it: B of each corpus form, the norm forms (whole
     and imaginary part) of the seven algebras, and the functionals that
-    check_type polarizes for the bundled models and the check_type grid."""
+    check_type forms for the bundled models and the check_type grid."""
     seen = []
 
     def recording(m):

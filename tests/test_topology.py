@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -26,7 +28,7 @@ from msf7.topology import (
     verify_witness,
 )
 
-from conftest import _shell_vectors
+from conftest import _shell_vectors, reference_exhaustion_bound
 
 
 def model_dict(**overrides):
@@ -126,6 +128,20 @@ class TestCupEval:
         m = bundled_model("cp3xs1")
         with pytest.raises(ValueError, match="length"):
             cup_eval(m, [1, 2], [0])
+        # the type-1 congruence, tested first, reads the whole witness too
+        m = make_model(model_dict(r2=2, cup=[[[1], [0]], [[0], [1]]], w2=[0, 0]))
+        with pytest.raises(ValueError):
+            verify_witness(m, 1, ((1, 0), (1,)))
+
+    @pytest.mark.parametrize("coordinate", [1.9, True, "1", Fraction(1)])
+    def test_non_integer_coordinate_rejected(self, coordinate):
+        """Nothing is coerced: read as int, each of these would make ((x,),)
+        a type-4 witness for cup = [[[1]]], p1 = 2."""
+        m = make_model(model_dict(p1=[2]))
+        with pytest.raises(TypeError, match="coordinate must be an integer"):
+            cup_eval(m, [1], [coordinate])
+        with pytest.raises(TypeError, match="coordinate must be an integer"):
+            verify_witness(m, 4, ((coordinate,),))
 
 
 class TestBundledVerdicts:
@@ -270,9 +286,9 @@ class TestShellEnumeration:
         assert list(_shell_vectors(dim, bound)) == brute
 
 
-def reference_search(model, type_id: int, bound: int) -> Verdict:
-    """check_type for types 1, 2 and 4 once their search is reached: scan the
-    whole box in shell order, and only then look for a proof of NO."""
+def _criterion(model, type_id: int):
+    """(dim, target, split, q) of the type 1, 2 or 4 search, written from
+    cup_eval alone: q(x) is the criterion's cup-square of the witness split(x)."""
     r2 = model.r2
 
     def cup(e, f):
@@ -297,6 +313,13 @@ def reference_search(model, type_id: int, bound: int) -> Verdict:
             def q(x):
                 e, f = split(x)
                 return tuple(map(sum, zip(cup(e, e), cup(f, f))))
+    return dim, target, split, q
+
+
+def reference_search(model, type_id: int, bound: int) -> Verdict:
+    """check_type for types 1, 2 and 4 once their search is reached: scan the
+    whole box in shell order, and only then look for a proof of NO."""
+    dim, target, split, q = _criterion(model, type_id)
 
     def ok(x):
         return type_id != 1 or all((a + b - w) % 2 == 0
@@ -313,7 +336,7 @@ def reference_search(model, type_id: int, bound: int) -> Verdict:
                            "cup form is identically zero but the target class is not")
         return Verdict(UNKNOWN, None, bound,
                        "no admissible congruence representative in the box")
-    proof = _definite_exhaustion_bound(q, dim, model.r4, target)
+    proof = reference_exhaustion_bound(q, dim, model.r4, target)
     if proof is not None and proof <= bound:
         return Verdict(NO, None, bound,
                        f"definite functional bounds all solutions by {proof}; "
@@ -411,6 +434,24 @@ def _solver_branch_models(seed: int = 2718):
     return cases
 
 
+class TestGram:
+    def test_gram_matches_cup_eval_and_reference_bound(self):
+        """x^T a_k x is twice the criterion's k-th cup-square on a small box,
+        and the proof of NO from the Gram matrices is the one the package
+        computed by polarizing the criterion."""
+        for model, type_id, _ in _random_search_models(210) + _solver_branch_models():
+            dim, target, _, q = _criterion(model, type_id)
+            grams = topology._gram(model, type_id)
+            assert len(grams) == model.r4
+            assert all(len(a) == dim and all(len(row) == dim for row in a) for a in grams)
+            for x in _shell_vectors(dim, 2 if dim <= 2 else 1):
+                got = tuple(sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, a))
+                            for a in grams)
+                assert got == tuple(2 * v for v in q(x)), (model, type_id, x)
+            assert (_definite_exhaustion_bound(grams, dim, target)
+                    == reference_exhaustion_bound(q, dim, model.r4, target)), (model, type_id)
+
+
 class TestSolvedSearch:
     def test_branch_corpus_matches_full_box_search(self, monkeypatch):
         """Every branch of the last-coordinate solve is reached, and each
@@ -466,15 +507,15 @@ class TestSolvedSearch:
         """The type-1 model cup diag(1, -1), p1 = 2, w2 = (1, 0) has a mod-2
         obstruction the search cannot prove, so it exhausts the box of bound
         16 (33^4 = 1,185,921 points) to UNKNOWN.  Solving for the last
-        coordinate evaluates the cup product on a small fraction of them."""
+        coordinate checks a small fraction of them against the criterion."""
         calls = [0]
-        cup = topology.cup_eval
+        check = topology.verify_witness
 
         def counted(*args):
             calls[0] += 1
-            return cup(*args)
+            return check(*args)
 
-        monkeypatch.setattr(topology, "cup_eval", counted)
+        monkeypatch.setattr(topology, "verify_witness", counted)
         model = make_model(model_dict(r2=2, cup=[[[1], [0]], [[0], [-1]]], p1=[2],
                                       w2=[1, 0], spin=False))
         v = check_type(model, 1, 16)
