@@ -23,12 +23,12 @@ stays central once the base algebra is noncommutative; the variant with the
 final product reversed fails that identity for quaternion pairs and is
 rejected by the table validator.
 
-The embeddings of the stabilizer catalog act on an algebra;
-:func:`matrix_in_imaginary_basis` writes such a map as a 7x7 matrix in one of
-the frozen imaginary bases at the end of this module.  It reads coordinates
-through the cached inverse of [unit | basis], a signed permutation matrix for
-every frozen basis, so the sparse ``LinearMap.apply`` makes one Fraction
-product per nonzero coordinate instead of a dense 8x8 product.
+The frozen imaginary bases at the end of this module induce the printed
+representatives.  :func:`matrix_in_imaginary_basis` writes a list of
+algebra elements as a 7x7 matrix in one of them; ``forms7`` builds the
+orbit-5 variant's change of basis that way.  The stabilizer embeddings do
+not need it: they keep the two quaternion halves apart, so ``stabilizers``
+reads their blocks straight off quaternion products.
 """
 
 from __future__ import annotations
@@ -357,9 +357,8 @@ def matrix_in_imaginary_basis(t: AlgebraTable, basis, images) -> LinearMap:
 
 # --- frozen imaginary bases ---------------------------------------------------
 # Chosen so the induced 3-forms reproduce the printed representatives exactly
-# (orbit 8, orbit 5 and its variant, and the orbit-2 alternate's ambient
-# identification).  Elements of the doubled algebras are written as pairs of
-# quaternion coordinates.
+# (orbit 8, orbit 5 and its variant).  Elements of the doubled algebras are
+# written as pairs of quaternion coordinates.
 
 _Z = (0, 0, 0, 0)
 _ONE = (1, 0, 0, 0)
@@ -387,14 +386,6 @@ def split_so4_basis() -> list:
     t = build_algebra("Osplit")
     return [_pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _ONE),
             _pair(t, _Z, (0, -1, 0, 0)), _pair(t, _Z, _J), _pair(t, _Z, _K)]
-
-
-def sl2pair_basis() -> list:
-    """Imaginary basis of the doubled split quaternions matching the
-    coordinates of the orbit-2 alternate representative."""
-    t = build_algebra("Osplit_from_Hsplit")
-    return [_pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _ONE),
-            _pair(t, _Z, _I), _pair(t, _Z, _J), _pair(t, _Z, _K)]
 
 
 def split_octonion_form_basis() -> list:

@@ -194,8 +194,12 @@ class KForm:
     def from_json(cls, data: Mapping) -> "KForm":
         try:
             degree = json_int(data["degree"], "degree")
-            terms = {tuple(json_int(i, "idx entry") for i in t["idx"]): scal(t["coef"])
-                     for t in data["terms"]}
+            terms = {}
+            for t in data["terms"]:
+                idx = tuple(json_int(i, "idx entry") for i in t["idx"])
+                if idx in terms:
+                    raise ValueError(f"repeated idx {list(idx)}")
+                terms[idx] = scal(t["coef"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed KForm JSON: {exc}") from exc
         return cls(degree, terms)
@@ -290,9 +294,6 @@ class LinearMap:
         for j, image in images.items():
             cols[j - 1] = [scal(x) for x in image]
         return cls.from_cols(cols)
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.rows[i][j] for i in range(self.n))
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """g v, summing only the products whose two factors are nonzero; each

@@ -12,6 +12,11 @@ two parameters, not its negative.
 Compact subgroups are sampled at rational points (Cayley transforms,
 tan-half-angle rotations, rational points on the unit quaternion sphere) so
 all verification stays in exact arithmetic.
+
+Every embedding is a block-diagonal 7x7 matrix.  The pair actions
+(p, q) -> (l p r, l' q r') on doubled quaternions (orbits 8, 7, 5 and the
+orbit-2 alternate) keep the halves apart, so each of their two blocks is one
+sandwich p -> l p r, read off quaternion products.
 """
 
 from __future__ import annotations
@@ -25,14 +30,9 @@ from .algebras import (
     AlgebraTable,
     build_algebra,
     conjugate,
-    matrix_in_imaginary_basis,
     multiply,
     norm,
-    octonion_form_basis,
-    sl2pair_basis,
-    split_octonion_form_basis,  # noqa: F401  (re-exported)
     split_quaternion_coords,
-    split_so4_basis,
 )
 from .exterior import KForm, LinearMap, _scaled_pullback, pullback, scal, wedge
 from .forms7 import BASIS_MAP_6, BASIS_MAP_7, canonical, classify, compact_dim
@@ -103,39 +103,6 @@ def _as_quaternion(t: AlgebraTable, q):
     return t.element(coords)
 
 
-def _sandwich(left, right):
-    return lambda p: left * p * right
-
-
-def _pair_action(base: AlgebraTable, t: AlgebraTable, fp, fq):
-    """The map (p, q) -> (fp(p), fq(q)) on the algebra t of pairs of base
-    elements."""
-    h = base.dim
-
-    def fn(x):
-        p, q = base.element(x.coords[:h]), base.element(x.coords[h:])
-        return t.element(fp(p).coords + fq(q).coords)
-
-    return fn
-
-
-def _so4_action(a, b, split: bool):
-    """(algebra, map) of the unit-quaternion pair action; raises unless a and
-    b are unit quaternions."""
-    H = build_algebra("H")
-    a = _as_quaternion(H, a)
-    b = _as_quaternion(H, b)
-    if norm(H, a) != 1 or norm(H, b) != 1:
-        raise ValueError("parameters must be unit quaternions")
-    ai = conjugate(H, a)
-    bi = conjugate(H, b)
-    if split:
-        t = build_algebra("Osplit")
-        return t, _pair_action(H, t, _sandwich(a, ai), _sandwich(a, bi))
-    t = build_algebra("O")
-    return t, _pair_action(H, t, _sandwich(a, ai), _sandwich(b, ai))
-
-
 def _block_diag(*blocks) -> LinearMap:
     """7x7 matrix with the given square blocks (lists of rows) down the
     diagonal and zeros elsewhere; raises if they do not fill it."""
@@ -151,6 +118,21 @@ def _block_diag(*blocks) -> LinearMap:
     return LinearMap(g)
 
 
+def _sandwich_block(t: AlgebraTable, left, right, first: int, flip: bool = False) -> list:
+    """Rows of the matrix of p -> left p right on the quaternion coordinates
+    first..3 of t (column j is the image of the j-th basis quaternion).
+
+    With `flip` the basis negates coordinate 1, as the fifth element of the
+    split frozen basis does.  A block from coordinate 1 on must keep the
+    imaginary quaternions: an image with a unit component raises."""
+    cols = [multiply(t, multiply(t, left, t.basis(j)), right).coords for j in range(first, 4)]
+    if first and any(c[0] for c in cols):
+        raise ValueError("map does not preserve the imaginary subspace")
+    s = [-1 if flip and i == 1 else 1 for i in range(first, 4)]
+    return [[s[r] * s[c] * col[i] for c, col in enumerate(cols)]
+            for r, i in enumerate(range(first, 4))]
+
+
 def embed_so4(a, b, split: bool = False) -> LinearMap:
     """7x7 matrix of the pair action (p, q) -> (a p a^-1, ...) of two unit
     quaternions on imaginary (split) octonions.
@@ -158,11 +140,17 @@ def embed_so4(a, b, split: bool = False) -> LinearMap:
     Without `split` the second slot transforms as b q a^-1 and the matrix
     stabilizes the orbit-8 (and orbit-7) representatives; with `split` it
     transforms as a q b^-1 and stabilizes the orbit-5 representative.
-    (a, b) and (-a, -b) give the same matrix.
+    (a, b) and (-a, -b) give the same matrix.  The two slots are the blocks
+    on e1..e3 and e4..e7.
     """
-    t, fn = _so4_action(a, b, split)
-    basis = split_so4_basis() if split else octonion_form_basis()
-    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
+    H = build_algebra("H")
+    a, b = _as_quaternion(H, a), _as_quaternion(H, b)
+    if norm(H, a) != 1 or norm(H, b) != 1:
+        raise ValueError("parameters must be unit quaternions")
+    ai = conjugate(H, a)
+    second = (_sandwich_block(H, a, conjugate(H, b), 0, flip=True) if split
+              else _sandwich_block(H, b, ai, 0))
+    return _block_diag(_sandwich_block(H, a, ai, 1), second)
 
 
 def embed_sl2pair(a, b) -> LinearMap:
@@ -179,10 +167,7 @@ def embed_sl2pair(a, b) -> LinearMap:
     qb = Ht.element(split_quaternion_coords(b))
     qai = conjugate(Ht, qa).scale(1 / da)
     qbi = conjugate(Ht, qb).scale(1 / db)
-    t = build_algebra("Osplit_from_Hsplit")
-    fn = _pair_action(Ht, t, _sandwich(qa, qai), _sandwich(qa, qbi))
-    basis = sl2pair_basis()
-    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
+    return _block_diag(_sandwich_block(Ht, qa, qai, 1), _sandwich_block(Ht, qa, qbi, 0))
 
 
 def embed_so3_33(A) -> LinearMap:
@@ -326,7 +311,7 @@ def _orbit6_reduction_algebra_form() -> KForm:
     """Induced form of the quaternion-pair split octonions on the display
     basis {i, j, k, e, ie, je, ke} (doubling unit multiplied on the right)."""
     t = build_algebra("Osplit")
-    qi, qj, qk, e = split_so4_basis()[:4]
+    qi, qj, qk, e = algebras.split_so4_basis()[:4]
     basis = [qi, qj, qk, e, multiply(t, qi, e), multiply(t, qj, e), multiply(t, qk, e)]
     return algebras.triple_form(t, basis)
 

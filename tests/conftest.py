@@ -3,12 +3,14 @@ evaluation oracle for forms, the congruence signature the package used
 before it read signatures off the characteristic polynomial, and the
 wedge-based pullback it used before the integer one.
 
-Also the oracles only the tests call: the 8x8 matrix of the SO(4) pair
-action, a span test for matrices, the norm-form signature of an algebra and
-the matrix transpose, the max-norm shell enumeration the topology search
-ran before it solved for the last coordinate, and the definite-functional
-bound it computed by polarizing the criterion before it read Gram matrices
-off the cup tensor."""
+Also the oracles only the tests call: the pair actions on doubled
+quaternions and the embeddings the package built from them before it read
+block-diagonal matrices off quaternion products, the 8x8 matrix of the SO(4)
+pair action, a span test for matrices, the norm-form signature of an
+algebra and the matrix transpose, the max-norm shell enumeration the
+topology search ran before it solved for the last coordinate, and the
+definite-functional bound it computed by polarizing the criterion before it
+read Gram matrices off the cup tensor."""
 
 from __future__ import annotations
 
@@ -20,7 +22,22 @@ from math import prod
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from msf7.algebras import AlgebraTable
+from msf7.algebras import (
+    _I,
+    _J,
+    _K,
+    _ONE,
+    _Z,
+    AlgebraTable,
+    _pair,
+    build_algebra,
+    conjugate,
+    matrix_in_imaginary_basis,
+    norm,
+    octonion_form_basis,
+    split_quaternion_coords,
+    split_so4_basis,
+)
 from msf7.exterior import (
     DIM,
     KForm,
@@ -31,7 +48,7 @@ from msf7.exterior import (
     signature,
     wedge,
 )
-from msf7.stabilizers import _so4_action
+from msf7.stabilizers import _as_quaternion
 
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -170,6 +187,70 @@ def in_matrix_span(candidates: list[LinearMap], target: LinearMap) -> bool:
     mats = list(candidates) + [target]
     rows = [[m.rows[i][j] for m in mats] for i in range(n) for j in range(n)]
     return len(candidates) not in _echelon(rows)[1]
+
+
+def _sandwich(left, right):
+    return lambda p: left * p * right
+
+
+def _pair_action(base: AlgebraTable, t: AlgebraTable, fp, fq):
+    """The map (p, q) -> (fp(p), fq(q)) on the algebra t of pairs of base
+    elements."""
+    h = base.dim
+
+    def fn(x):
+        p, q = base.element(x.coords[:h]), base.element(x.coords[h:])
+        return t.element(fp(p).coords + fq(q).coords)
+
+    return fn
+
+
+def _so4_action(a, b, split: bool):
+    """(algebra, map) of the unit-quaternion pair action; raises unless a and
+    b are unit quaternions."""
+    H = build_algebra("H")
+    a = _as_quaternion(H, a)
+    b = _as_quaternion(H, b)
+    if norm(H, a) != 1 or norm(H, b) != 1:
+        raise ValueError("parameters must be unit quaternions")
+    ai = conjugate(H, a)
+    bi = conjugate(H, b)
+    if split:
+        t = build_algebra("Osplit")
+        return t, _pair_action(H, t, _sandwich(a, ai), _sandwich(a, bi))
+    t = build_algebra("O")
+    return t, _pair_action(H, t, _sandwich(a, ai), _sandwich(b, ai))
+
+
+def sl2pair_basis() -> list:
+    """Imaginary basis of the doubled split quaternions matching the
+    coordinates of the orbit-2 alternate representative."""
+    t = build_algebra("Osplit_from_Hsplit")
+    return [_pair(t, _I, _Z), _pair(t, _J, _Z), _pair(t, _K, _Z), _pair(t, _Z, _ONE),
+            _pair(t, _Z, _I), _pair(t, _Z, _J), _pair(t, _Z, _K)]
+
+
+def reference_embed_so4(a, b, split: bool = False) -> LinearMap:
+    """``embed_so4`` as the package built it before it read blocks off
+    quaternion products: the pair action on the frozen basis elements, read
+    back through ``matrix_in_imaginary_basis``."""
+    t, fn = _so4_action(a, b, split)
+    basis = split_so4_basis() if split else octonion_form_basis()
+    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
+
+
+def reference_embed_sl2pair(a, b) -> LinearMap:
+    """``embed_sl2pair`` the same old way, without its parameter checks."""
+    da, db = LinearMap(a).det(), LinearMap(b).det()
+    Ht = build_algebra("Hsplit")
+    qa = Ht.element(split_quaternion_coords(a))
+    qb = Ht.element(split_quaternion_coords(b))
+    qai = conjugate(Ht, qa).scale(1 / da)
+    qbi = conjugate(Ht, qb).scale(1 / db)
+    t = build_algebra("Osplit_from_Hsplit")
+    fn = _pair_action(Ht, t, _sandwich(qa, qai), _sandwich(qa, qbi))
+    basis = sl2pair_basis()
+    return matrix_in_imaginary_basis(t, basis, [fn(x) for x in basis])
 
 
 def embed_so4_algebra_matrix(a, b, split: bool = False) -> list:

@@ -12,7 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from msf7.algebras import build_algebra, multiply, norm, triple_form
+from msf7.algebras import (
+    build_algebra,
+    multiply,
+    norm,
+    octonion_form_basis,
+    split_octonion_form_basis,
+    triple_form,
+)
 from msf7.cli import fuzz_iterations
 from msf7.exterior import KForm, LinearMap, kernel, pullback, wedge
 from msf7.forms7 import (
@@ -36,8 +43,6 @@ from msf7.stabilizers import (
     embed_so4,
     sample_gl2,
     sample_sl2pair,
-    split_octonion_form_basis,
-    octonion_form_basis,
     unit_quaternion,
     verify_membership,
 )

@@ -15,12 +15,13 @@ from msf7.algebras import (
     is_automorphism,
     multiply,
     norm,
+    octonion_form_basis,
+    split_octonion_form_basis,
     triple_form,
     _double,
 )
 from msf7.exterior import LinearMap, pullback
 from msf7.forms7 import canonical
-from msf7.stabilizers import octonion_form_basis, split_octonion_form_basis
 
 from conftest import norm_signature
 

@@ -100,6 +100,14 @@ class TestClassify:
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == "" and "zero denominator" in err
 
+    @pytest.mark.parametrize("command", ["classify", "invariants"])
+    def test_repeated_index_is_input_error(self, command):
+        # a dict built from the terms would keep only the last coefficient
+        text = json.dumps({"degree": 3, "terms": [{"idx": [1, 2, 3], "coef": "1"},
+                                                  {"idx": [1, 2, 3], "coef": "-1"}]})
+        code, out, err = _run_quietly([command, "-"], text)
+        assert code == 2 and out == "" and "repeated idx [1, 2, 3]" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "/no/such/file.json")
         assert code == 2 and "error" in err

@@ -9,7 +9,9 @@ the sign routine ``_sort_with_sign`` outside ``exterior.py``: other modules
 read their signs off ``wedge`` and ``interior``.  A definition of
 ``_SUBSETS``, ``_INDEX`` or ``_wedge_table`` (an assignment, a def or a
 class) outside ``exterior.py`` fails too: other modules import them, so one
-copy of each table exists.
+copy of each table exists.  Every module-level def or class, and every
+non-dunder method, must be used somewhere in the package, the tests or the
+benchmark; the scan reports the ones nothing names.
 """
 
 from __future__ import annotations
@@ -140,3 +142,88 @@ def test_index_table_scan_catches(snippet):
 def test_index_table_scan_allows_imports():
     assert index_table_definitions(
         "from .exterior import _INDEX, _SUBSETS, _wedge_table\nx = _SUBSETS[3]") == []
+
+
+REPO = Path(__file__).resolve().parent.parent
+REFERENCING = (SOURCES + sorted((REPO / "tests").glob("*.py"))
+               + sorted((REPO / "perfbench").glob("*.py")))
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def _references(tree) -> tuple[set[str], set[str]]:
+    """(names, attributes) the tree refers to: loaded or imported names, and
+    the attribute part of every ``x.attr``."""
+    names, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+    return names, attrs
+
+
+def dead_definitions(package: list[str], others: list[str] = ()) -> list[str]:
+    """Module-level defs and classes of the package sources that no source
+    names (bare, imported or as a module attribute) outside their own body,
+    and non-dunder methods that no source reaches as an attribute and their
+    own class body does not name (``__matmul__ = compose``)."""
+    trees = [ast.parse(s) for s in package]
+    names, attrs = set(), set()
+    for tree in trees + [ast.parse(s) for s in others]:
+        for node in tree.body:
+            found = _references(node)
+            names |= found[0] - ({node.name} if _is_def(node) else set())
+            attrs |= found[1]
+    dead = []
+    for tree in trees:
+        for node in filter(_is_def, tree.body):
+            if node.name not in names | attrs:
+                dead.append(node.name)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            in_class = set().union(*(_references(stmt)[0] for stmt in node.body
+                                     if not _is_def(stmt)))
+            dead += [f"{node.name}.{m.name}" for m in filter(_is_def, node.body)
+                     if not (m.name.startswith("__") and m.name.endswith("__"))
+                     and m.name not in attrs and m.name not in in_class]
+    return dead
+
+
+def test_every_definition_is_used():
+    read = [p.read_text(encoding="utf-8") for p in REFERENCING]
+    assert dead_definitions(read[:len(SOURCES)], read[len(SOURCES):]) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "def unused():\n    return 1",
+    "def recursive(n):\n    return recursive(n - 1) if n else 0",
+    "class Unused:\n    pass",
+    "class A:\n    def unused(self):\n        return 1\n\nA()",
+    "class A:\n    def compose(self, o):\n        return o\n\n    def other(self):\n"
+    "        compose = 1\n        return compose\n\nA().other()",
+])
+def test_dead_definition_scan_catches(snippet):
+    assert dead_definitions([snippet])
+
+
+@pytest.mark.parametrize("snippet", [
+    "def f():\n    return 1\n\nx = f()",
+    "class A:\n    def compose(self, o):\n        return o\n\n    __matmul__ = compose\n\nA()",
+    "class A:\n    def used(self):\n        return 1\n\nA().used()",
+    "def _dunder_only():\n    pass\n\nclass B:\n    def __repr__(self):\n        return ''\n\n"
+    "_dunder_only(); B()",
+])
+def test_dead_definition_scan_allows_uses(snippet):
+    assert dead_definitions([snippet]) == []
+
+
+def test_dead_definition_scan_reads_other_sources():
+    package = ["def helper():\n    pass\n\nclass A:\n    def m(self):\n        pass"]
+    assert dead_definitions(package) == ["helper", "A", "A.m"]
+    assert dead_definitions(package, ["from msf7.x import A, helper\nA().m()"]) == []
+    assert dead_definitions(package, ["from msf7 import x\nx.helper(); x.A"]) == ["A.m"]

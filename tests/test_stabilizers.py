@@ -7,10 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from msf7.algebras import build_algebra, is_automorphism, multiply
+from msf7.algebras import (
+    build_algebra,
+    is_automorphism,
+    matrix_in_imaginary_basis,
+    multiply,
+    octonion_form_basis,
+)
 from msf7.exterior import KForm, LinearMap, pullback
 from msf7.forms7 import canonical, classify
 from msf7.stabilizers import (
+    _sandwich_block,
     catalog,
     cayley_so3,
     embed_gl2pair,
@@ -28,7 +35,14 @@ from msf7.stabilizers import (
     verify_paper,
 )
 
-from conftest import embed_so4_algebra_matrix, wedge_pullback
+from conftest import (
+    _pair_action,
+    _sandwich,
+    embed_so4_algebra_matrix,
+    reference_embed_sl2pair,
+    reference_embed_so4,
+    wedge_pullback,
+)
 
 rng = random.Random(424242)
 
@@ -210,6 +224,45 @@ class TestEmbedSL2Pair:
             a2, b2 = sample_sl2pair(rng)
             lhs = embed_sl2pair(a1, b1) @ embed_sl2pair(a2, b2)
             assert lhs == embed_sl2pair(mat_mul(a1, a2), mat_mul(b1, b2))
+
+
+class TestBlocksAgainstPairAction:
+    """The block-diagonal embeddings against the pair action on doubled
+    quaternions, read back through ``matrix_in_imaginary_basis``: same
+    entries, same types."""
+
+    DRAWS = 300
+
+    def test_so4_both_forms(self):
+        r = random.Random(1401)
+
+        def frac():
+            return Fraction(r.randint(-5, 5), r.randint(1, 4))
+
+        for _ in range(self.DRAWS):
+            a = unit_quaternion(frac(), frac(), frac())
+            b = unit_quaternion(frac(), frac(), frac())
+            for split in (False, True):
+                assert (repr(embed_so4(a, b, split=split).rows)
+                        == repr(reference_embed_so4(a, b, split).rows))
+
+    def test_sl2pair(self):
+        r = random.Random(1402)
+        for _ in range(self.DRAWS):
+            a, b = sample_sl2pair(r)
+            assert repr(embed_sl2pair(a, b).rows) == repr(reference_embed_sl2pair(a, b).rows)
+
+    def test_unit_component_rejected_like_the_pair_action(self):
+        # multiplying by i on the left alone sends i to i * i = -1, off the
+        # imaginary subspace
+        H, O = build_algebra("H"), build_algebra("O")
+        u = H.element(unit_quaternion(1, 0, 0))
+        with pytest.raises(ValueError, match="does not preserve the imaginary subspace"):
+            _sandwich_block(H, u, H.unit(), 1)
+        fn = _pair_action(H, O, _sandwich(u, H.unit()), _sandwich(H.unit(), H.unit()))
+        basis = octonion_form_basis()
+        with pytest.raises(ValueError, match="does not preserve the imaginary subspace"):
+            matrix_in_imaginary_basis(O, basis, [fn(x) for x in basis])
 
 
 class TestEmbedSO3AndGL2:
