@@ -25,11 +25,12 @@ integers by the lcm of their denominators, each index prefix of a term is
 wedged with the next row through ``_wedge_table(j - 1, 1)`` once, and one
 Fraction is made per nonzero output coefficient.
 ``_echelon`` is the single elimination routine: fraction-free (Bareiss) row
-reduction in Python ints.  ``rank``, ``kernel``, all determinants and
-``LinearMap.inverse`` are built on it.  ``signature`` eliminates nothing: it
-reads the inertia off the integer characteristic polynomial
-(Faddeev-LeVerrier) by Descartes' rule of signs, which is exact because a
-symmetric matrix has only real eigenvalues.
+reduction in Python ints, with the rescale of a row a step leaves alone
+deferred to one exact division when the row is next used.  ``rank``,
+``kernel``, all determinants and ``LinearMap.inverse`` are built on it.
+``signature`` eliminates nothing: it reads the inertia off the integer
+characteristic polynomial (Faddeev-LeVerrier) by Descartes' rule of signs,
+which is exact because a symmetric matrix has only real eigenvalues.
 """
 
 from __future__ import annotations
@@ -434,26 +435,43 @@ def pullback(g: LinearMap, a: KForm) -> KForm:
 def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free row echelon form (Bareiss 1968) of a rational matrix.
 
-    Each row is first scaled by the lcm of its denominators; elimination then
-    runs in Python ints, every division exact.  Returns ``(rows, pivot_cols,
-    swap_sign, row_scale)``: the eliminated integer rows (the first
-    ``len(pivot_cols)`` are the echelon rows), the pivot column of each, the
-    sign of the row permutation, and the product of the row scalings.  For
-    a nonsingular square ``m`` the last pivot is
-    ``swap_sign * row_scale * det(m)``.
+    Each row is first scaled by the lcm of its denominators (a row of ints
+    is taken as it is); elimination then runs in Python ints, every division
+    exact.  Returns ``(rows, pivot_cols, swap_sign, row_scale)``: the
+    eliminated integer rows (the first ``len(pivot_cols)`` are the echelon
+    rows), the pivot column of each, the sign of the row permutation, and
+    the product of the row scalings.  For a nonsingular square ``m`` the
+    last pivot is ``swap_sign * row_scale * det(m)``.
+
+    The rescale is deferred.  Bareiss step k (pivot ``p_k``, ``p_0 = 1``)
+    maps a row below the pivot row y to ``(p_k x - h y) / p_(k-1)``; for
+    ``h = 0`` that is only a rescale by ``p_k / p_(k-1)``, so it is skipped
+    and ``age[i] = j`` records that row i is the eager row after step j.
+    The skipped factors telescope to ``p_(k-1) / p_j``: a new pivot row is
+    caught up by one ``x * p_(k-1) // p_j``, and an updated row takes
+    ``(p_k x - h y) // p_j``.  Each quotient is an entry of the eager
+    elimination, an integer, so the division is exact; and a nonzero factor
+    keeps the zero pattern the pivot search reads, so the output is the
+    eager one, entry for entry.
     """
     a = []
     row_scale = 1
+    nc = len(m[0]) if m else 0
     for row in m:
-        row = [x if isinstance(x, int) else scal(x) for x in row]
+        if len(row) != nc:
+            raise ValueError(f"ragged matrix: rows of length {nc} and {len(row)}")
+        if all(type(x) is int for x in row):
+            a.append(list(row))
+            continue
+        row = [x if type(x) is int else scal(x) for x in row]
         d = math.lcm(*(x.denominator for x in row))
         row_scale *= d
         a.append([x.numerator * (d // x.denominator) for x in row])
     nr = len(a)
-    nc = len(a[0]) if nr else 0
     pivot_cols: list[int] = []
+    pivots = [1]  # pivots[k] = p_k
+    age = [0] * nr
     swap_sign = 1
-    prev = 1
     r = 0
     for c in range(nc):
         if r == nr:
@@ -463,19 +481,23 @@ def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            age[r], age[piv] = age[piv], age[r]
             swap_sign = -swap_sign
         top = a[r]
+        if age[r] != r:
+            s, t = pivots[r], pivots[age[r]]
+            top = a[r] = top[:c] + [x * s // t for x in top[c:]]
         p = top[c]
         for i in range(r + 1, nr):
             row = a[i]
             h = row[c]
             if h:
-                # Bareiss update: exact integer division by the previous pivot
-                a[i] = row[:c] + [(p * x - h * y) // prev
+                # Bareiss update; a row stale since step j divides by p_j
+                t = pivots[age[i]]
+                a[i] = row[:c] + [(p * x - h * y) // t
                                   for x, y in zip(row[c:], top[c:])]
-            elif p != prev:
-                a[i] = row[:c] + [p * x // prev for x in row[c:]]
-        prev = p
+                age[i] = r + 1
+        pivots.append(p)
         pivot_cols.append(c)
         r += 1
     return a, pivot_cols, swap_sign, row_scale

@@ -166,6 +166,11 @@ def canonical(orbit_id: int, variant: str = "standard") -> CanonicalForm:
 _ANTISYMMETRIC_COLUMNS = tuple((m * DIM + p, p * DIM + m)
                                for m, p in combinations(range(DIM), 2))
 
+# stabilizer_dim ranks the system with its columns grouped by p.  Column m*7+p
+# (e^(p+1) ^ i_{e_(m+1)} w) is zero off the 15 triples that contain p+1, so the
+# first seven pivots touch only those rows for p = 0, and fill-in comes late.
+_BY_P = tuple(m * DIM + p for p in range(DIM) for m in range(DIM))
+
 
 def _scaled_coefficients(w: KForm) -> tuple[list[int], int]:
     """(c, D): D is the lcm of the coefficient denominators of w and c[k] is
@@ -277,7 +282,7 @@ def stabilizer_algebra(w: KForm) -> list[LinearMap]:
 
 
 def stabilizer_dim(w: KForm) -> int:
-    return DIM * DIM - rank(_stabilizer_system(w))
+    return DIM * DIM - rank([[row[j] for j in _BY_P] for row in _stabilizer_system(w)])
 
 
 def compact_dim(w: KForm) -> int:

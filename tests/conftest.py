@@ -1,7 +1,8 @@
 """Shared hypothesis strategies for exact forms, vectors and matrices, an
-evaluation oracle for forms, the congruence signature the package used
-before it read signatures off the characteristic polynomial, and the
-wedge-based pullback it used before the integer one.
+evaluation oracle for forms, the eager Bareiss elimination the package ran
+before it deferred the rescale of rows it does not update, the congruence
+signature the package used before it read signatures off the characteristic
+polynomial, and the wedge-based pullback it used before the integer one.
 
 Also the oracles only the tests call: the pair actions on doubled
 quaternions and the embeddings the package built from them before it read
@@ -18,6 +19,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
+from typing import Sequence
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -45,6 +47,7 @@ from msf7.exterior import (
     _echelon,
     kernel,
     polarize,
+    scal,
     signature,
     wedge,
 )
@@ -87,6 +90,15 @@ def invertible_maps(draw):
     return m
 
 
+def rational_invertible(rng) -> LinearMap:
+    """Seeded invertible 7x7 map with entries p/q, |p| <= 3, 1 <= q <= 5."""
+    while True:
+        g = LinearMap([[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(DIM)]
+                       for _ in range(DIM)])
+        if g.is_invertible():
+            return g
+
+
 def leibniz_det(m) -> Fraction:
     """Determinant as the signed sum over permutations; independent of the
     package's elimination."""
@@ -96,6 +108,58 @@ def leibniz_det(m) -> Fraction:
         total += (-1) ** inversions * prod((m[i][p] for i, p in enumerate(perm)),
                                            start=Fraction(1))
     return total
+
+
+# The elimination the package ran before it deferred the Bareiss rescale,
+# kept verbatim: the differential oracle of ``_echelon``.
+def reference_echelon(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free row echelon form (Bareiss 1968) of a rational matrix.
+
+    Each row is first scaled by the lcm of its denominators; elimination then
+    runs in Python ints, every division exact.  Returns ``(rows, pivot_cols,
+    swap_sign, row_scale)``: the eliminated integer rows (the first
+    ``len(pivot_cols)`` are the echelon rows), the pivot column of each, the
+    sign of the row permutation, and the product of the row scalings.  For
+    a nonsingular square ``m`` the last pivot is
+    ``swap_sign * row_scale * det(m)``.
+    """
+    a = []
+    row_scale = 1
+    for row in m:
+        row = [x if isinstance(x, int) else scal(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        row_scale *= d
+        a.append([x.numerator * (d // x.denominator) for x in row])
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    pivot_cols: list[int] = []
+    swap_sign = 1
+    prev = 1
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            swap_sign = -swap_sign
+        top = a[r]
+        p = top[c]
+        for i in range(r + 1, nr):
+            row = a[i]
+            h = row[c]
+            if h:
+                # Bareiss update: exact integer division by the previous pivot
+                a[i] = row[:c] + [(p * x - h * y) // prev
+                                  for x, y in zip(row[c:], top[c:])]
+            elif p != prev:
+                a[i] = row[:c] + [p * x // prev for x in row[c:]]
+        prev = p
+        pivot_cols.append(c)
+        r += 1
+    return a, pivot_cols, swap_sign, row_scale
 
 
 def evaluate(form: KForm, vectors) -> Fraction:

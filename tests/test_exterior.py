@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from msf7.exterior import (
     LinearMap,
     SymmetricMatrix,
     _det,
+    _echelon,
     _invert,
     basis_vector,
     interior,
@@ -27,7 +29,15 @@ from msf7.exterior import (
     vec,
     wedge,
 )
-from msf7.forms7 import _stabilizer_system, canonical
+from msf7.forms7 import (
+    _ANTISYMMETRIC_COLUMNS,
+    _BY_P,
+    _contractions,
+    _scaled_coefficients,
+    _stabilizer_system,
+    canonical,
+    random_invertible,
+)
 
 from conftest import (
     coefficients,
@@ -36,6 +46,8 @@ from conftest import (
     invertible_maps,
     kforms,
     linear_maps,
+    rational_invertible,
+    reference_echelon,
     reference_signature,
     transpose,
     vectors,
@@ -339,6 +351,19 @@ class TestKernel:
         if ker:
             assert rank([[v[i] for v in ker] for i in range(cols)]) == len(ker)
 
+    @pytest.mark.parametrize("m", [[[1, 2], [2, 4, 5]], [[1], [1, 5]], [[1, 2, 3], []]])
+    def test_ragged_matrix_is_refused(self, m):
+        for f in (rank, kernel):
+            with pytest.raises(ValueError, match="ragged matrix"):
+                f(m)
+
+    @pytest.mark.parametrize("m", [[[True, True]], [[1, 2], [0, False]], [[0.5, 1]]])
+    def test_inexact_entry_is_refused(self, m):
+        """A bool is not read as 1, whether the rest of its row is int or not."""
+        for f in (rank, kernel):
+            with pytest.raises(TypeError, match="not an exact scalar"):
+                f(m)
+
     def test_rational_entries(self):
         m = [[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2, 5), Fraction(2, 5)]]
         ker = kernel(m)
@@ -445,6 +470,24 @@ ORBIT8_KERNEL = (
 )
 
 
+def _orbit_systems(seed: int = 20261018) -> list[list[list[int]]]:
+    """The stabilizer system (m-major and grouped by p), its antisymmetric
+    restriction and the contraction matrix of two integer and two rational
+    pullbacks of each orbit's representative."""
+    rng = random.Random(seed)
+    out = []
+    for orbit in range(1, 9):
+        w = canonical(orbit).form
+        maps = [random_invertible(rng) for _ in range(2)]
+        for g in maps + [rational_invertible(rng) for _ in range(2)]:
+            v = pullback(g, w)
+            rows = _stabilizer_system(v)
+            out += [rows, [[row[j] for j in _BY_P] for row in rows],
+                    [[row[a] - row[b] for a, b in _ANTISYMMETRIC_COLUMNS] for row in rows],
+                    _contractions(_scaled_coefficients(v)[0])]
+    return out
+
+
 class TestEchelonCore:
     """kernel, rank, det, inverse and span tests share one elimination; each
     is checked against an independent Fraction Gauss-Jordan reference."""
@@ -472,6 +515,16 @@ class TestEchelonCore:
         expected = (len(reference_rref([row[:-1] for row in m])[1])
                     == len(reference_rref(m)[1]))
         assert in_matrix_span(mats[:-1], mats[-1]) == expected
+
+    @settings(max_examples=300)
+    @given(m=rational_matrices())
+    def test_matches_eager_bareiss(self, m):
+        """The deferred rescale returns the eager elimination's 4-tuple."""
+        assert _echelon(m) == reference_echelon(m)
+
+    def test_matches_eager_bareiss_on_orbit_systems(self):
+        for m in _orbit_systems():
+            assert _echelon(m) == reference_echelon(m)
 
     def test_empty_matrix(self):
         assert (_det([]), _invert([]), kernel([]), rank([])) == (1, [], [], 0)

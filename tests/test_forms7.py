@@ -38,13 +38,22 @@ from msf7.forms7 import (
     sample_orbit,
     stabilizer_algebra,
     stabilizer_dim,
+    _BY_P,
     _CLASSIFIER_TABLE,
     _classifier_key,
     _divides,
     _stabilizer_system,
 )
 
-from conftest import coefficients, evaluate, in_matrix_span, kforms, transpose, vectors
+from conftest import (
+    coefficients,
+    evaluate,
+    in_matrix_span,
+    kforms,
+    rational_invertible,
+    transpose,
+    vectors,
+)
 
 
 def alpha(*idx):
@@ -339,21 +348,20 @@ class TestStabilizer:
             for Y in basis[:4]:
                 assert in_matrix_span(basis, (X @ Y) - (Y @ X))
 
-    def test_dimension_is_conjugation_invariant(self):
-        rng = random.Random(3)
-        for orbit in (1, 5, 8):
-            w = canonical(orbit).form
-            d = stabilizer_dim(w)
-            for _ in range(3):
-                g, _ = _random_invertible(rng)
-                assert stabilizer_dim(pullback(g, w)) == d
+    def test_column_order_is_a_permutation(self):
+        assert sorted(_BY_P) == list(range(DIM * DIM))
 
-
-def _random_invertible(rng):
-    while True:
-        g = LinearMap([[rng.randint(-3, 3) for _ in range(7)] for _ in range(7)])
-        if g.is_invertible():
-            return g, None
+    @pytest.mark.parametrize("orbit", range(1, 9))
+    def test_dimension_is_conjugation_invariant(self, orbit):
+        """Constant along integer and rational pullbacks, and equal to the
+        corank of the system in its own (m-major) column order."""
+        rng = random.Random(orbit)
+        w = canonical(orbit).form
+        maps = [random_invertible(rng) for _ in range(2)]
+        maps += [rational_invertible(rng) for _ in range(2)]
+        d = stabilizer_dim(w)
+        for v in [w] + [pullback(g, w) for g in maps]:
+            assert stabilizer_dim(v) == d == DIM * DIM - rank(_stabilizer_system(v))
 
 
 class TestCompactDim:
