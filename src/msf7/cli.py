@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit", type=int, required=True, choices=range(1, 9),
                    metavar="ORBIT")
     p.add_argument("--seed", type=int, required=True,
-                   help="64-bit seed; same seed gives identical output")
+                   help="seed in 0..2^64-1; same seed gives identical output")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_sample)
 

@@ -30,7 +30,10 @@ deferred to one exact division when the row is next used.  ``rank``,
 ``kernel``, all determinants and ``LinearMap.inverse`` are built on it.
 ``signature`` eliminates nothing: it reads the inertia off the integer
 characteristic polynomial (Faddeev-LeVerrier) by Descartes' rule of signs,
-which is exact because a symmetric matrix has only real eigenvalues.
+which is exact because a symmetric matrix has only real eigenvalues.  Each
+matrix of the recursion is a polynomial in the symmetric input, so only its
+upper triangle is multiplied out, and the last coefficient is read off one
+trace, so a 7 x 7 matrix takes 5 half products.
 """
 
 from __future__ import annotations
@@ -604,21 +607,35 @@ def signature(s: SymmetricMatrix | Sequence[Sequence[object]]) -> tuple[int, int
     """Exact (positive, negative, zero) inertia, read off det(tI - a) =
     sum c_k t^(n-k), with a = ``s`` times the lcm of its denominators (a
     positive scale keeps the inertia).  Faddeev-LeVerrier, exact in ints:
-    P_1 = a, c_k = -tr(P_k) / k, P_(k+1) = a (P_k + c_k I).  The roots are
-    real, so by Descartes' rule the sign changes among the nonzero c_k count
-    the positive roots; the trailing zero c_k count the zero roots."""
+    X_0 = I, P_k = a X_(k-1), c_k = -tr(P_k) / k, X_k = P_k + c_k I.  Each
+    P_k is a polynomial in the symmetric a, so only its upper triangle is
+    computed; P_1 = a, and c_n needs only tr(a X_(n-1)) = sum a_ij X_ij, so
+    n = 7 takes 5 half products and one trace.  The roots are real, so by
+    Descartes' rule the sign changes among the nonzero c_k count the
+    positive roots; the trailing zero c_k count the zero roots."""
     if not isinstance(s, SymmetricMatrix):
         s = SymmetricMatrix(s)
     n = s.n
     d = math.lcm(*(x.denominator for row in s.rows for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in s.rows]
     coeffs = [1]
-    p = a
-    for k in range(1, n + 1):
-        c = -sum(p[i][i] for i in range(n)) // k
+    x = [[int(i == j) for j in range(n)] for i in range(n)]  # X_0
+    for k in range(1, n):
+        if k == 1:
+            x = [row[:] for row in a]
+        else:
+            # x is symmetric, so column j of X_(k-1) is row j
+            p = [[0] * n for _ in range(n)]
+            for i, row in enumerate(a):
+                for j in range(i, n):
+                    p[i][j] = p[j][i] = sum(map(mul, row, x[j]))
+            x = p
+        c = -sum(x[i][i] for i in range(n)) // k
         coeffs.append(c)
-        # p is a polynomial in the symmetric a, so column j of p is row j
-        p = [[sum(map(mul, row, pj)) + c * x for pj, x in zip(p, row)] for row in a]
+        for i in range(n):
+            x[i][i] += c
+    if n:
+        coeffs.append(-sum(sum(map(mul, r, t)) for r, t in zip(a, x)) // n)
     r = max(k for k, c in enumerate(coeffs) if c)  # the rank
     signs = [c > 0 for c in coeffs if c]
     pos = sum(x != y for x, y in zip(signs, signs[1:]))

@@ -20,6 +20,16 @@ table.  The rank, B and the stabilizer system all read one integer
 contraction matrix (column m is i_{e_m} w, w scaled to integers) and the
 cached tables of basis wedge products, which they import from ``exterior``
 (``_SUBSETS``, ``_INDEX``, ``_wedge_table``) so one copy of each exists.
+
+``invariant_vector`` is one pass over that data: it scales w, builds the
+contraction matrix C and the 35 x 49 stabilizer system once.  B = C^T M C /
+D^3, so rank C >= rank B and a B of rank 7 sets ms_rank = 7 without an
+elimination.  Before a full elimination it ranks one square minor: a
+nonsingular r x r minor of a matrix with r rows (or r columns) proves full
+rank, and a singular one proves nothing, so the whole matrix is ranked as
+before.  The compact minor is the first 21 rows of the 35 x 21 system
+(compact_dim = 0); the stabilizer minor, tried when B has rank 7, is the 35
+columns ``_OPEN_PIVOTS`` (stab_dim = 14).
 """
 
 from __future__ import annotations
@@ -171,6 +181,13 @@ _ANTISYMMETRIC_COLUMNS = tuple((m * DIM + p, p * DIM + m)
 # first seven pivots touch only those rows for p = 0, and fill-in comes late.
 _BY_P = tuple(m * DIM + p for p in range(DIM) for m in range(DIM))
 
+# The first k_p columns of each p-group, k = (7, 7, 7, 7, 4, 2, 1), the number
+# of pivots each group takes in the p-grouped elimination of a generic form of
+# orbits 5 and 8.  Their 35 x 35 minor is singular at special forms such as
+# canonical(8).
+_OPEN_PIVOTS = tuple(m * DIM + p for p, k in enumerate((7, 7, 7, 7, 4, 2, 1))
+                     for m in range(k))
+
 
 def _scaled_coefficients(w: KForm) -> tuple[list[int], int]:
     """(c, D): D is the lcm of the coefficient denominators of w and c[k] is
@@ -210,13 +227,15 @@ def is_multisymplectic(w: KForm) -> bool:
 
 
 def b_form(w: KForm) -> SymmetricMatrix:
-    """B(u, v) defined by interior(u,w) ^ interior(v,w) ^ w = B(u,v) vol.
-
-    B = C^T M C / D^3, where C is the integer contraction matrix of w scaled
-    by D and M[P][Q] the volume coefficient of e^P ^ e^Q ^ D w.
-    """
+    """B(u, v) defined by interior(u,w) ^ interior(v,w) ^ w = B(u,v) vol."""
     c, d = _scaled_coefficients(w)
-    contractions = _contractions(c)
+    return _induced_form(c, d, _contractions(c))
+
+
+def _induced_form(c: list[int], d: int, contractions: list[list[int]]) -> SymmetricMatrix:
+    """B = C^T M C / D^3, where C is the integer contraction matrix of w scaled
+    by D (coefficients c) and M[P][Q] the volume coefficient of e^P ^ e^Q ^ D w.
+    """
     # volume coefficient of e^R ^ D w, for each 4-subset R
     vol = [0] * len(_SUBSETS[4])
     for r, k, _, s in _wedge_table(4, 3):
@@ -260,13 +279,16 @@ def _divides(covector, w: KForm) -> bool:
 def _stabilizer_system(w: KForm) -> list[list[int]]:
     """35 x 49 system for w(Au,v,x)+w(u,Av,x)+w(u,v,Ax) = 0, scaled to
     integers by the common denominator of w; unknown A[m][p] flattened as
-    m*7 + p.
+    m*7 + p."""
+    return _stabilizer_rows(_contractions(_scaled_coefficients(w)[0]))
+
+
+def _stabilizer_rows(contractions: list[list[int]]) -> list[list[int]]:
+    """The stabilizer system of the form with this contraction matrix.
 
     For the matrix unit A = E_mp the left side is e^p ^ i_{e_m} w, so column
     m*7 + p holds the wedge of e^p with column m of the contraction matrix.
     """
-    c, _ = _scaled_coefficients(w)
-    contractions = _contractions(c)
     rows = [[0] * (DIM * DIM) for _ in _SUBSETS[3]]
     for p, q, k, s in _wedge_table(1, 2):
         for m, x in enumerate(contractions[q]):
@@ -281,8 +303,26 @@ def stabilizer_algebra(w: KForm) -> list[LinearMap]:
             for v in basis]
 
 
+def _stab_dim(rows: list[list[int]], open_orbit: bool) -> int:
+    """49 minus the rank of the stabilizer system; with ``open_orbit`` (B of
+    rank 7) the minor on ``_OPEN_PIVOTS`` is tried first."""
+    if open_orbit and rank([[row[j] for j in _OPEN_PIVOTS] for row in rows]) == len(rows):
+        return DIM * DIM - len(rows)
+    return DIM * DIM - rank([[row[j] for j in _BY_P] for row in rows])
+
+
 def stabilizer_dim(w: KForm) -> int:
-    return DIM * DIM - rank([[row[j] for j in _BY_P] for row in _stabilizer_system(w)])
+    return _stab_dim(_stabilizer_system(w), open_orbit=False)
+
+
+def _compact_dim(rows: list[list[int]]) -> int:
+    """Kernel dimension of the stabilizer system restricted to so(7); the
+    minor on the first 21 rows is tried first."""
+    restricted = [[row[a] - row[b] for a, b in _ANTISYMMETRIC_COLUMNS] for row in rows]
+    n = len(_ANTISYMMETRIC_COLUMNS)
+    if rank(restricted[:n]) == n:
+        return 0
+    return n - rank(restricted)
 
 
 def compact_dim(w: KForm) -> int:
@@ -296,9 +336,7 @@ def compact_dim(w: KForm) -> int:
     m*7+p minus column p*7+m of the 35 x 49 system, and the intersection is
     its kernel.
     """
-    rows = _stabilizer_system(w)
-    restricted = [[row[a] - row[b] for a, b in _ANTISYMMETRIC_COLUMNS] for row in rows]
-    return len(_ANTISYMMETRIC_COLUMNS) - rank(restricted)
+    return _compact_dim(_stabilizer_system(w))
 
 
 @dataclass(frozen=True)
@@ -316,13 +354,18 @@ class InvariantVector:
 
 
 def invariant_vector(w: KForm) -> InvariantVector:
-    sig = b_signature(w)
+    """All invariants in one pass (see the module docstring)."""
+    c, d = _scaled_coefficients(w)
+    contractions = _contractions(c)
+    p, n, _ = signature(_induced_form(c, d, contractions))
+    open_orbit = p + n == DIM
+    rows = _stabilizer_rows(contractions)
     return InvariantVector(
-        ms_rank=ms_rank(w),
-        b_rank=sum(sig),
-        b_signature=sig,
-        stab_dim=stabilizer_dim(w),
-        compact_dim=compact_dim(w),
+        ms_rank=DIM if open_orbit else rank(contractions),
+        b_rank=p + n,
+        b_signature=(max(p, n), min(p, n)),
+        stab_dim=_stab_dim(rows, open_orbit),
+        compact_dim=_compact_dim(rows),
     )
 
 
@@ -381,11 +424,15 @@ def random_invertible(rng: random.Random, spread: int = 3, max_tries: int = 100)
 def sample_orbit(orbit_id: int, seed: int) -> tuple[KForm, LinearMap]:
     """Deterministic pseudorandom element of an orbit plus the witness map.
 
-    Seeds are 64-bit integers fed to Python's Mersenne Twister; only integer
-    draws are used, so output is stable across platforms.
+    Seeds are integers in 0..2^64-1 fed to Python's Mersenne Twister; any
+    other seed (a bool included) raises ValueError rather than being folded
+    into the range.  Only integer draws are used, so output is stable across
+    platforms.
     """
     if orbit_id not in ORBIT_IDS:
         raise ValueError(f"orbit id must be 1..8, got {orbit_id}")
-    rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+    if type(seed) is not int or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer in 0..2^64-1, got {seed!r}")
+    rng = random.Random(seed)
     g = random_invertible(rng)
     return pullback(g, canonical(orbit_id).form), g

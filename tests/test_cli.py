@@ -161,6 +161,18 @@ class TestSample:
             code, out, _ = run(capsys, "classify", str(path))
             assert code == 0 and out.strip() == str(orbit)
 
+    @pytest.mark.parametrize("seed", ["0", str(2 ** 64 - 1)])
+    def test_seed_range_ends_accepted(self, capsys, seed):
+        code, out, _ = run(capsys, "sample", "--orbit", "3", "--seed", seed, "--json")
+        assert code == 0 and json.loads(out)["seed"] == int(seed)
+
+    @pytest.mark.parametrize("seed", ["-1", "-5", str(2 ** 64), str(2 ** 64 + 5)])
+    def test_seed_out_of_range_exits_2(self, capsys, seed):
+        # -5 and 2^64 - 5 used to print the same form under different seeds
+        code, out, err = run(capsys, "sample", "--orbit", "3", "--seed", seed)
+        assert code == 2 and out == ""
+        assert "seed must be an integer in 0..2^64-1" in err
+
 
 class TestVerifyPaper:
     def test_passes_and_reports(self, capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from msf7 import forms7
 from msf7.exterior import (
     DIM,
     KForm,
@@ -25,6 +26,7 @@ from msf7.exterior import (
 )
 from msf7.forms7 import (
     NON_MULTISYMPLECTIC,
+    InvariantVector,
     b_form,
     b_signature,
     canonical,
@@ -38,8 +40,10 @@ from msf7.forms7 import (
     sample_orbit,
     stabilizer_algebra,
     stabilizer_dim,
+    _ANTISYMMETRIC_COLUMNS,
     _BY_P,
     _CLASSIFIER_TABLE,
+    _OPEN_PIVOTS,
     _classifier_key,
     _divides,
     _stabilizer_system,
@@ -397,6 +401,127 @@ class TestCompactDim:
         assert compact_dim(w) == reference_compact_dim(w) == 21
 
 
+def _plain_invariants(w: KForm) -> tuple:
+    """The invariant vector field by field, one plain rank per system and no
+    minor: ms_rank and stabilizer_dim rank the whole system, and so does the
+    compact rank here."""
+    restricted = [[row[a] - row[b] for a, b in _ANTISYMMETRIC_COLUMNS]
+                  for row in _stabilizer_system(w)]
+    return (ms_rank(w), b_signature(w), stabilizer_dim(w),
+            len(_ANTISYMMETRIC_COLUMNS) - rank(restricted))
+
+
+def _rational_pullbacks(orbit: int, count: int) -> list[KForm]:
+    """Pullbacks by seeded maps with entries p/q, |p| <= 3, 1 <= q <= 5."""
+    rng = random.Random(900 + orbit)
+    w = canonical(orbit).form
+    return [pullback(rational_invertible(rng), w) for _ in range(count)]
+
+
+def _singular_pullbacks(count: int) -> list[KForm]:
+    """Pullbacks of canonical forms by rational maps g of rank 6 or 5: the
+    pullback contracts to zero with any v in the kernel of g, so none is
+    multisymplectic."""
+    rng = random.Random(990)
+    out = []
+    for k in range(count):
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(DIM)]
+                for _ in range(DIM - 1 - k % 2)]
+        rows += [[0] * DIM] * (DIM - len(rows))
+        out.append(pullback(LinearMap(rows), canonical(1 + k % 8).form))
+    return out
+
+
+class TestInvariantVector:
+    """invariant_vector answers from one pass, certifying full rank by square
+    minors where it can; these tests hold it to the plain ranks and pin which
+    eliminations it runs."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list[tuple[int, int]]:
+        shapes = []
+
+        def recording(m):
+            shapes.append((len(m), len(m[0]) if m else 0))
+            return rank(m)
+
+        monkeypatch.setattr(forms7, "rank", recording)
+        return shapes
+
+    @staticmethod
+    def _check(w: KForm) -> InvariantVector:
+        iv = invariant_vector(w)
+        ms, sig, stab, compact = _plain_invariants(w)
+        assert (iv.ms_rank, iv.b_signature, iv.b_rank, iv.stab_dim, iv.compact_dim) == \
+            (ms, sig, sum(sig), stab, compact)
+        return iv
+
+    @pytest.mark.parametrize("orbit", range(1, 9))
+    def test_rational_pullbacks_match_plain_ranks(self, orbit):
+        found = [self._check(w) for w in _rational_pullbacks(orbit, 40)]
+        # orbit 3 brings the rational forms with compact_dim > 0
+        assert {iv.compact_dim > 0 for iv in found} == {orbit == 3}
+
+    @pytest.mark.parametrize("orbit,variant", [(i, "standard") for i in range(1, 9)]
+                             + [(i, "prime") for i in (2, 5, 6, 7)])
+    def test_canonical_variants_match_plain_ranks(self, orbit, variant):
+        self._check(canonical(orbit, variant).form)
+
+    def test_non_multisymplectic_and_zero_forms_match_plain_ranks(self):
+        forms = _singular_pullbacks(16) + [KForm(3), alpha(1, 2, 3) + alpha(4, 5, 6)]
+        for w in forms:
+            assert ms_rank(w) < DIM
+            self._check(w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=st.one_of(kforms(degree=3, max_terms=8), dense_3forms(), degenerate_3forms()))
+    def test_generated_forms_match_plain_ranks(self, w):
+        self._check(w)
+
+    def test_corpus_takes_every_branch(self, monkeypatch):
+        """Each elimination sequence invariant_vector can run, seen on the
+        corpus: both minors certify; the compact minor falls back; the
+        open-orbit minor falls back; B of rank below 7 ranks C and the
+        whole stabilizer system.  Only a B of rank 7 skips the rank of C and
+        tries the open-orbit minor."""
+        shapes = self._spy(monkeypatch)
+        seen = set()
+        corpus = ([w for orbit in range(1, 9) for w in _rational_pullbacks(orbit, 2)]
+                  + [canonical(i).form for i in range(1, 9)] + _singular_pullbacks(2))
+        for w in corpus:
+            shapes.clear()
+            full = invariant_vector(w).b_rank == DIM
+            assert ((21, 7) not in shapes) == ((35, 35) in shapes) == full
+            seen.add(tuple(shapes))
+        assert seen >= {
+            ((35, 35), (21, 21)),
+            ((35, 35), (35, 49), (21, 21), (35, 21)),
+            ((21, 7), (35, 49), (21, 21)),
+            ((21, 7), (35, 49), (21, 21), (35, 21)),
+        }
+
+    def test_open_orbit_pullback_needs_no_full_elimination(self, monkeypatch):
+        shapes = self._spy(monkeypatch)
+        iv = invariant_vector(_rational_pullbacks(8, 1)[0])
+        assert (iv.ms_rank, iv.stab_dim, iv.compact_dim) == (7, 14, 0)
+        assert shapes == [(35, 35), (21, 21)]
+
+    def test_canonical_orbit8_falls_back_to_both_full_eliminations(self, monkeypatch):
+        shapes = self._spy(monkeypatch)
+        iv = invariant_vector(canonical(8).form)
+        assert (iv.stab_dim, iv.compact_dim) == (14, 14)
+        assert (35, 49) in shapes and (35, 21) in shapes
+
+    @pytest.mark.parametrize("orbit", [5, 8])
+    def test_open_pivots_certify_rational_pullbacks(self, orbit):
+        """The k_p = (7, 7, 7, 7, 4, 2, 1) columns carry a nonsingular minor
+        at seeded rational pullbacks of both open orbits."""
+        assert len(set(_OPEN_PIVOTS)) == 35
+        for w in _rational_pullbacks(orbit, 10):
+            rows = _stabilizer_system(w)
+            assert rank([[row[j] for j in _OPEN_PIVOTS] for row in rows]) == 35
+
+
 class TestClassifier:
     def test_round_trip_on_canonical_forms(self):
         for i in range(1, 9):
@@ -445,3 +570,14 @@ class TestSampleOrbit:
     def test_orbit_range_checked(self):
         with pytest.raises(ValueError):
             sample_orbit(9, 0)
+
+    def test_seed_range_ends(self):
+        low, _ = sample_orbit(3, 0)
+        high, _ = sample_orbit(3, 2 ** 64 - 1)
+        assert low != high
+        assert sample_orbit(3, 2 ** 64 - 1)[0] == high
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2 ** 64, 2 ** 64 + 1, True, False, 1.0, "1"])
+    def test_seeds_outside_the_range_are_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_orbit(3, seed)

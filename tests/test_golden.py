@@ -332,7 +332,8 @@ def test_exterior_operations_are_unchanged(name):
 
 SAMPLE_ORBIT_DIGEST = "b8fde15243aeaafbe8510bbb4003c0ab8f8fada7ccdc145398044f8d51715ac9"
 
-SAMPLE_SEEDS = (0, 1, 9, 77, 2**40 + 3, -1)
+# 2**64 - 1 is the seed -1 stood for when seeds were masked to 64 bits
+SAMPLE_SEEDS = (0, 1, 9, 77, 2**40 + 3, 2**64 - 1)
 
 
 def test_sample_orbit_is_unchanged():
@@ -418,5 +419,23 @@ def test_signature_agrees_with_congruence_reference(monkeypatch):
             check_type(model, type_id, 3)
     # 60 forms, 14 norm forms, 1 functional for the bundled models, 240 for the grid
     assert len(seen) == 60 + 14 + 1 + 240
-    for m in seen:
+    for m in seen + _small_and_singular_matrices():
         assert signature(m) == reference_signature(m)
+
+
+def _small_and_singular_matrices():
+    """n = 0, 1 and 2, where the characteristic polynomial needs no half
+    product (n = 0 and 1 not even P_1), and L diag(s) L^T of every rank r <= n
+    for n <= 7, with rational L and signs s, so singular ones of each size."""
+    rng = random.Random(396)
+    out = [[], [[0]], [[5]], [[Fraction(-2, 3)]], [[0, 0], [0, 0]], [[0, 1], [1, 0]],
+           [[1, 2], [2, 4]], [[-1, 2], [2, -4]], [[2, -1], [-1, 3]], [[1, 3], [3, 1]]]
+    for n in range(1, DIM + 1):
+        for r in range(n + 1):
+            for _ in range(3):
+                ell = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(r)]
+                       for _ in range(n)]
+                s = [rng.choice((-1, 1)) for _ in range(r)]
+                out.append([[sum(x * y * t for x, y, t in zip(u, v, s)) for v in ell]
+                            for u in ell])
+    return out
