@@ -28,17 +28,23 @@ Fraction is made per nonzero output coefficient.
 reduction in Python ints, with the rescale of a row a step leaves alone
 deferred to one exact division when the row is next used.  ``rank``,
 ``kernel``, all determinants and ``LinearMap.inverse`` are built on it.
-``signature`` eliminates nothing: it reads the inertia off the integer
-characteristic polynomial (Faddeev-LeVerrier) by Descartes' rule of signs,
-which is exact because a symmetric matrix has only real eigenvalues.  Each
-matrix of the recursion is a polynomial in the symmetric input, so only its
-upper triangle is multiplied out, and the last coefficient is read off one
-trace, so a 7 x 7 matrix takes 5 half products.
+``_inertia`` is the single characteristic-polynomial routine: it takes a
+symmetric matrix of ints and eliminates nothing, reading the inertia off
+the integer characteristic polynomial (Faddeev-LeVerrier) by Descartes'
+rule of signs, which is exact because a symmetric matrix has only real
+eigenvalues.  Each matrix of the recursion is a polynomial in the symmetric
+input, so only its upper triangle is multiplied out, and the last
+coefficient is read off one trace, so a 7 x 7 matrix takes 5 half products.
+``signature`` checks symmetry, scales a rational matrix to ints by the lcm
+of its denominators and calls it; ``forms7`` calls it on the integer
+D^3 B directly.  ``scal`` reads strings as exact fractions
+``[+-]?[0-9]+(/[0-9]+)?`` and nothing else.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -51,12 +57,20 @@ DIM = 7
 _F0 = Fraction(0)
 
 
+# ASCII digits only: no spaces, '_', '.', exponent or other scripts' digits
+_FRACTION_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def scal(x) -> Fraction:
     """Coerce ints, strings like '-1/2', and Fractions to an exact Scalar;
-    bools are refused, so a JSON ``true`` is never read as 1, and a zero
-    denominator such as '1/0' raises ValueError like any other bad string."""
+    bools are refused, so a JSON ``true`` is never read as 1.  A string must
+    match ``_FRACTION_STRING`` (so '1e300000' cannot ask for a huge power of
+    ten), and a zero denominator such as '1/0' raises ValueError like any
+    other bad string."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and not _FRACTION_STRING.fullmatch(x):
+        raise ValueError(f"not an exact fraction string: {x!r}")
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
@@ -604,20 +618,27 @@ def polarize(q, dim: int) -> list[list[Fraction]]:
 
 
 def signature(s: SymmetricMatrix | Sequence[Sequence[object]]) -> tuple[int, int, int]:
-    """Exact (positive, negative, zero) inertia, read off det(tI - a) =
-    sum c_k t^(n-k), with a = ``s`` times the lcm of its denominators (a
-    positive scale keeps the inertia).  Faddeev-LeVerrier, exact in ints:
-    X_0 = I, P_k = a X_(k-1), c_k = -tr(P_k) / k, X_k = P_k + c_k I.  Each
-    P_k is a polynomial in the symmetric a, so only its upper triangle is
-    computed; P_1 = a, and c_n needs only tr(a X_(n-1)) = sum a_ij X_ij, so
-    n = 7 takes 5 half products and one trace.  The roots are real, so by
-    Descartes' rule the sign changes among the nonzero c_k count the
-    positive roots; the trailing zero c_k count the zero roots."""
+    """Exact (positive, negative, zero) inertia of a rational symmetric
+    matrix: ``s`` is checked for symmetry, scaled by the lcm of its
+    denominators (a positive scale keeps the inertia) and handed to
+    ``_inertia``."""
     if not isinstance(s, SymmetricMatrix):
         s = SymmetricMatrix(s)
-    n = s.n
     d = math.lcm(*(x.denominator for row in s.rows for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in s.rows]
+    return _inertia([[x.numerator * (d // x.denominator) for x in row] for row in s.rows])
+
+
+def _inertia(a: list[list[int]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric matrix of ints,
+    read off det(tI - a) = sum c_k t^(n-k).  Faddeev-LeVerrier, exact in
+    ints: X_0 = I, P_k = a X_(k-1), c_k = -tr(P_k) / k, X_k = P_k + c_k I.
+    Each P_k is a polynomial in the symmetric a, so only its upper triangle
+    is computed; P_1 = a, and c_n needs only tr(a X_(n-1)) = sum a_ij X_ij,
+    so n = 7 takes 5 half products and one trace.  The roots are real, so by
+    Descartes' rule the sign changes among the nonzero c_k count the
+    positive roots; the trailing zero c_k count the zero roots.  Symmetry is
+    the caller's promise: ``signature`` checks it, ``forms7`` builds B so."""
+    n = len(a)
     coeffs = [1]
     x = [[int(i == j) for j in range(n)] for i in range(n)]  # X_0
     for k in range(1, n):

@@ -21,15 +21,23 @@ contraction matrix (column m is i_{e_m} w, w scaled to integers) and the
 cached tables of basis wedge products, which they import from ``exterior``
 (``_SUBSETS``, ``_INDEX``, ``_wedge_table``) so one copy of each exists.
 
-``invariant_vector`` is one pass over that data: it scales w, builds the
-contraction matrix C and the 35 x 49 stabilizer system once.  B = C^T M C /
-D^3, so rank C >= rank B and a B of rank 7 sets ms_rank = 7 without an
-elimination.  Before a full elimination it ranks one square minor: a
-nonsingular r x r minor of a matrix with r rows (or r columns) proves full
-rank, and a singular one proves nothing, so the whole matrix is ranked as
-before.  The compact minor is the first 21 rows of the 35 x 21 system
-(compact_dim = 0); the stabilizer minor, tried when B has rank 7, is the 35
-columns ``_OPEN_PIVOTS`` (stab_dim = 14).
+B is computed in Python ints: ``_induced_form`` returns D^3 B = C^T M C,
+with D the lcm of the coefficient denominators of w, C the integer
+contraction matrix of D w and M[P][Q] the volume coefficient of
+e^P ^ e^Q ^ D w.  D^3 > 0, so ``_inertia`` reads the inertia of B off
+D^3 B, and the divisibility flag takes its covector from a nonzero integer
+row; only ``b_form`` divides by D^3.
+
+``classify`` and ``invariant_vector`` are one pass: they scale w and build C
+once.  rank C >= rank B, so a B of rank 7 sets ms_rank = 7 without an
+elimination.  Before a full elimination they rank one square minor: a
+nonsingular r x r minor of a matrix with r columns (or r rows) proves full
+rank, and a singular one proves nothing (rows outside it may still be
+independent), so the whole matrix is ranked as before.  The ms_rank minor
+is the pair rows ``_MS_PIVOTS`` of C.  ``invariant_vector`` also builds the
+35 x 49 stabilizer system once: its compact minor is the first 21 rows of
+the 35 x 21 system (compact_dim = 0), and its stabilizer minor, tried when
+B has rank 7, the 35 columns ``_OPEN_PIVOTS`` (stab_dim = 14).
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from operator import itemgetter, mul
 
 from . import algebras
 from .exterior import (
@@ -49,11 +58,11 @@ from .exterior import (
     SymmetricMatrix,
     _INDEX,
     _SUBSETS,
+    _inertia,
     _wedge_table,
     kernel,
     pullback,
     rank,
-    signature,
 )
 
 ORBIT_IDS = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -217,8 +226,23 @@ def contraction_matrix(w: KForm) -> list[list[Fraction]]:
     return [[Fraction(x, d) for x in row] for row in _contractions(c)]
 
 
+# Seven pair rows of C (12, 34, 56, 17, 23, 45, 67: each index in two of
+# them) whose 7 x 7 minor is nonsingular at a generic form of rank 7; it is
+# singular at every canonical form.
+_MS_PIVOTS = tuple(_INDEX[pair] for pair in ((1, 2), (3, 4), (5, 6), (1, 7),
+                                             (2, 3), (4, 5), (6, 7)))
+
+
+def _ms_rank(contractions: list[list[int]]) -> int:
+    """Rank of the contraction matrix; the minor on ``_MS_PIVOTS`` is tried
+    first."""
+    if rank([contractions[p] for p in _MS_PIVOTS]) == DIM:
+        return DIM
+    return rank(contractions)
+
+
 def ms_rank(w: KForm) -> int:
-    return rank(_contractions(_scaled_coefficients(w)[0]))
+    return _ms_rank(_contractions(_scaled_coefficients(w)[0]))
 
 
 def is_multisymplectic(w: KForm) -> bool:
@@ -229,35 +253,46 @@ def is_multisymplectic(w: KForm) -> bool:
 def b_form(w: KForm) -> SymmetricMatrix:
     """B(u, v) defined by interior(u,w) ^ interior(v,w) ^ w = B(u,v) vol."""
     c, d = _scaled_coefficients(w)
-    return _induced_form(c, d, _contractions(c))
+    d3 = d ** 3
+    return SymmetricMatrix([[Fraction(x, d3) for x in row]
+                            for row in _induced_form(c, _contractions(c))])
 
 
-def _induced_form(c: list[int], d: int, contractions: list[list[int]]) -> SymmetricMatrix:
-    """B = C^T M C / D^3, where C is the integer contraction matrix of w scaled
-    by D (coefficients c) and M[P][Q] the volume coefficient of e^P ^ e^Q ^ D w.
-    """
+@cache
+def _pair_neighbours() -> tuple[tuple[itemgetter, tuple[tuple[int, int], ...]], ...]:
+    """For each pair P, a getter of the entries at the 10 pairs Q disjoint
+    from P, and the (R, sign) with e^P ^ e^Q = sign e^R for each Q."""
+    table = [([], []) for _ in _SUBSETS[2]]
+    for p, q, r, s in _wedge_table(2, 2):
+        table[p][0].append(q)
+        table[p][1].append((r, s))
+    return tuple((itemgetter(*qs), tuple(rs)) for qs, rs in table)
+
+
+def _induced_form(c: list[int], contractions: list[list[int]]) -> list[list[int]]:
+    """D^3 B = C^T M C as a symmetric matrix of ints, where C is the integer
+    contraction matrix of w scaled by D (coefficients c) and M[P][Q] the
+    volume coefficient of e^P ^ e^Q ^ D w.  M C is built a column at a
+    time, one 10-term dot product per pair P, over the pairs Q disjoint
+    from P."""
     # volume coefficient of e^R ^ D w, for each 4-subset R
     vol = [0] * len(_SUBSETS[4])
     for r, k, _, s in _wedge_table(4, 3):
         vol[r] = s * c[k]
-    mc = [[0] * DIM for _ in contractions]  # M C
-    for p, q, r, s in _wedge_table(2, 2):
-        if x := s * vol[r]:
-            mc[p] = [a + x * b for a, b in zip(mc[p], contractions[q])]
-    d3 = d ** 3
-    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
-    for i in range(DIM):
+    m = [(get, [s * vol[r] for r, s in rs]) for get, rs in _pair_neighbours()]
+    cols = list(zip(*contractions))
+    mc = [[sum(map(mul, x, get(col))) for get, x in m] for col in cols]
+    b = [[0] * DIM for _ in range(DIM)]
+    for i, col in enumerate(cols):
         for j in range(i, DIM):
-            total = sum(row[i] * m[j] for row, m in zip(contractions, mc))
-            rows[i][j] = rows[j][i] = Fraction(total, d3)
-    return SymmetricMatrix(rows)
+            b[i][j] = b[j][i] = sum(map(mul, col, mc[j]))
+    return b
 
 
 def b_signature(w: KForm) -> tuple[int, int]:
     """Unordered signature (max, min) of the induced bilinear form; only the
     unordered pair is orbit-invariant because pullback rescales by det."""
-    p, n, _ = signature(b_form(w))
-    return (max(p, n), min(p, n))
+    return _key_data(w)[1][1]
 
 
 def _divides(covector, w: KForm) -> bool:
@@ -355,15 +390,13 @@ class InvariantVector:
 
 def invariant_vector(w: KForm) -> InvariantVector:
     """All invariants in one pass (see the module docstring)."""
-    c, d = _scaled_coefficients(w)
-    contractions = _contractions(c)
-    p, n, _ = signature(_induced_form(c, d, contractions))
-    open_orbit = p + n == DIM
+    contractions, (b_rank, b_sig, _) = _key_data(w)
+    open_orbit = b_rank == DIM
     rows = _stabilizer_rows(contractions)
     return InvariantVector(
-        ms_rank=DIM if open_orbit else rank(contractions),
-        b_rank=p + n,
-        b_signature=(max(p, n), min(p, n)),
+        ms_rank=DIM if open_orbit else _ms_rank(contractions),
+        b_rank=b_rank,
+        b_signature=b_sig,
         stab_dim=_stab_dim(rows, open_orbit),
         compact_dim=_compact_dim(rows),
     )
@@ -373,18 +406,26 @@ NON_MULTISYMPLECTIC = "NonMultisymplectic"
 UNKNOWN = "Unknown"
 
 
+def _key_data(w: KForm) -> tuple[list[list[int]], tuple]:
+    """(C, classifier key), the key read off the integer D^3 B, which has
+    the inertia of B since D^3 > 0."""
+    c, _ = _scaled_coefficients(w)
+    contractions = _contractions(c)
+    b = _induced_form(c, contractions)
+    p, n, _ = _inertia(b)
+    divisible = None
+    if p + n == 1:
+        divisible = _divides(next(row for row in b if any(row)), w)
+    return contractions, (p + n, (max(p, n), min(p, n)), divisible)
+
+
 def _classifier_key(w: KForm) -> tuple:
     """(rank of B, unordered signature of B, divisibility flag or None).
 
     The flag is only defined when B has rank 1: then B = c l (x) l and every
     nonzero row of B is a multiple of l; the flag says whether l ^ w = 0.
     """
-    B = b_form(w)
-    p, n, _ = signature(B)
-    divisible = None
-    if p + n == 1:
-        divisible = _divides(next(row for row in B.rows if any(row)), w)
-    return (p + n, (max(p, n), min(p, n)), divisible)
+    return _key_data(w)[1]
 
 
 # Keys of the eight canonical forms; the tests recompute them.
@@ -404,11 +445,13 @@ def classify(w: KForm):
     """Orbit id (1..8), NON_MULTISYMPLECTIC, or UNKNOWN.
 
     Uses only invariants that are constant along orbits; the dimension of the
-    compact part is excluded because it depends on the representative.
+    compact part is excluded because it depends on the representative.  A B
+    of rank 7 proves ms_rank = 7 (see the module docstring).
     """
-    if ms_rank(w) < DIM:
+    contractions, key = _key_data(w)
+    if key[0] < DIM and _ms_rank(contractions) < DIM:
         return NON_MULTISYMPLECTIC
-    return _CLASSIFIER_TABLE.get(_classifier_key(w), UNKNOWN)
+    return _CLASSIFIER_TABLE.get(key, UNKNOWN)
 
 
 def random_invertible(rng: random.Random, spread: int = 3, max_tries: int = 100) -> LinearMap:

@@ -2,7 +2,9 @@
 evaluation oracle for forms, the eager Bareiss elimination the package ran
 before it deferred the rescale of rows it does not update, the congruence
 signature the package used before it read signatures off the characteristic
-polynomial, and the wedge-based pullback it used before the integer one.
+polynomial, the wedge-based pullback it used before the integer one, and the
+Fraction classifier key it computed before it took the inertia of the
+integer D^3 B and certified the contraction rank by a 7 x 7 minor.
 
 Also the oracles only the tests call: the pair actions on doubled
 quaternions and the embeddings the package built from them before it read
@@ -44,12 +46,24 @@ from msf7.exterior import (
     DIM,
     KForm,
     LinearMap,
+    SymmetricMatrix,
+    _SUBSETS,
     _echelon,
+    _wedge_table,
     kernel,
     polarize,
+    rank,
     scal,
     signature,
     wedge,
+)
+from msf7.forms7 import (
+    NON_MULTISYMPLECTIC,
+    UNKNOWN,
+    _CLASSIFIER_TABLE,
+    _contractions,
+    _divides,
+    _scaled_coefficients,
 )
 from msf7.stabilizers import _as_quaternion
 
@@ -160,6 +174,55 @@ def reference_echelon(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]],
         pivot_cols.append(c)
         r += 1
     return a, pivot_cols, swap_sign, row_scale
+
+
+# The Fraction path of the classifier key the package ran before it worked
+# on the integer D^3 B, kept verbatim: the differential oracle of b_form,
+# _classifier_key, ms_rank and classify.
+def reference_induced_form(c: list[int], d: int, contractions: list[list[int]]) -> SymmetricMatrix:
+    """B = C^T M C / D^3, where C is the integer contraction matrix of w scaled
+    by D (coefficients c) and M[P][Q] the volume coefficient of e^P ^ e^Q ^ D w.
+    """
+    # volume coefficient of e^R ^ D w, for each 4-subset R
+    vol = [0] * len(_SUBSETS[4])
+    for r, k, _, s in _wedge_table(4, 3):
+        vol[r] = s * c[k]
+    mc = [[0] * DIM for _ in contractions]  # M C
+    for p, q, r, s in _wedge_table(2, 2):
+        if x := s * vol[r]:
+            mc[p] = [a + x * b for a, b in zip(mc[p], contractions[q])]
+    d3 = d ** 3
+    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(i, DIM):
+            total = sum(row[i] * m[j] for row, m in zip(contractions, mc))
+            rows[i][j] = rows[j][i] = Fraction(total, d3)
+    return SymmetricMatrix(rows)
+
+
+def reference_fraction_b_form(w: KForm) -> SymmetricMatrix:
+    c, d = _scaled_coefficients(w)
+    return reference_induced_form(c, d, _contractions(c))
+
+
+def reference_classifier_key(w: KForm) -> tuple:
+    B = reference_fraction_b_form(w)
+    p, n, _ = signature(B)
+    divisible = None
+    if p + n == 1:
+        divisible = _divides(next(row for row in B.rows if any(row)), w)
+    return (p + n, (max(p, n), min(p, n)), divisible)
+
+
+def reference_ms_rank(w: KForm) -> int:
+    """The rank of the whole 21 x 7 contraction matrix, with no minor."""
+    return rank(_contractions(_scaled_coefficients(w)[0]))
+
+
+def reference_classify(w: KForm):
+    if reference_ms_rank(w) < DIM:
+        return NON_MULTISYMPLECTIC
+    return _CLASSIFIER_TABLE.get(reference_classifier_key(w), UNKNOWN)
 
 
 def evaluate(form: KForm, vectors) -> Fraction:

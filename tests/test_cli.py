@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 from unittest import mock
 
 import pytest
@@ -99,6 +100,24 @@ class TestClassify:
         path.write_text(json.dumps({"degree": 3, "terms": [{"idx": [1, 2, 7], "coef": "1/0"}]}))
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == "" and "zero denominator" in err
+
+    @pytest.mark.parametrize("coef", ["1e3", "1_000", " 1/2 ", "1.5", "\u0661"])
+    def test_inexact_coefficient_string_is_input_error(self, tmp_path, capsys, coef):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"degree": 3, "terms": [{"idx": [1, 2, 7], "coef": coef}]}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == "" and "not an exact fraction string" in err
+
+    def test_exponent_is_refused_quickly(self, tmp_path, capsys):
+        """An exponent would make the coefficient, and the cost, unbounded."""
+        doc = canonical(5).form.to_json()
+        doc["terms"][0]["coef"] = "1e300000"
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and "not an exact fraction string" in err
 
     @pytest.mark.parametrize("command", ["classify", "invariants"])
     def test_repeated_index_is_input_error(self, command):

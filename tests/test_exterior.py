@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from msf7.exterior import (
     SymmetricMatrix,
     _det,
     _echelon,
+    _inertia,
     _invert,
     basis_vector,
     interior,
@@ -25,6 +27,7 @@ from msf7.exterior import (
     polarize,
     pullback,
     rank,
+    scal,
     signature,
     vec,
     wedge,
@@ -251,7 +254,7 @@ class TestPullback:
     def test_against_evaluation_oracle(self, g, a, vs):
         assert evaluate(pullback(g, a), vs) == evaluate(a, [g.apply(v) for v in vs])
 
-    @settings(max_examples=80)
+    @settings(max_examples=80, deadline=None)
     @given(g=maps_of_every_kind(), a=forms_of_any_degree())
     def test_agrees_with_minor_expansion(self, g, a):
         assert pullback(g, a) == reference_pullback(g, a)
@@ -569,6 +572,66 @@ class TestSignature:
                 [0, 0, 0, -3], [0, 0, -3, 0]])
     def test_agrees_with_congruence_reference(self, m):
         assert signature(m) == reference_signature(m)
+
+
+class TestInertia:
+    """The integer core of signature, held to the congruence reference."""
+
+    @staticmethod
+    def _gram(rng: random.Random, n: int, r: int) -> list[list[int]]:
+        """L diag(s) L^T for an integer n x r matrix L and signs s: rank at
+        most r."""
+        ell = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        s = [rng.choice((-1, 1)) for _ in range(r)]
+        return [[sum(x * y * t for x, y, t in zip(u, v, s)) for v in ell] for u in ell]
+
+    def test_rank_deficient_integer_matrices(self):
+        rng = random.Random(627)
+        for n in range(9):
+            for r in range(n + 1):
+                for _ in range(3):
+                    a = self._gram(rng, n, r)
+                    assert _inertia(a) == reference_signature(a)
+
+    def test_does_not_change_its_input(self):
+        a = [[2, 1], [1, 0]]
+        assert _inertia(a) == (1, 1, 0)
+        assert a == [[2, 1], [1, 0]]
+
+    @settings(max_examples=200)
+    @given(data=st.data(), n=st.integers(0, 8))
+    def test_agrees_with_congruence_reference(self, data, n):
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = data.draw(st.integers(-4, 4))
+        assert _inertia(a) == reference_signature(a)
+
+
+class TestScal:
+    @pytest.mark.parametrize("text, value", [
+        ("1", Fraction(1)), ("-1/2", Fraction(-1, 2)), ("+3", Fraction(3)),
+        ("0", Fraction(0)), ("007", Fraction(7)), ("10/4", Fraction(5, 2)),
+        ("-0/5", Fraction(0))])
+    def test_exact_fraction_strings(self, text, value):
+        assert scal(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e3", "1E3", "1_000", " 1/2 ", "1.5", "\u0661", "1/-2", "1/", "/2", "",
+        "+", "1\n", "inf", "nan", "0x10", "1/2/3"])
+    def test_other_strings_are_refused(self, text):
+        with pytest.raises(ValueError, match="not an exact fraction string"):
+            scal(text)
+
+    def test_huge_exponent_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not an exact fraction string"):
+            scal("1e3000000")
+        assert time.perf_counter() - start < 0.1
+
+    def test_zero_denominator_message_is_kept(self):
+        with pytest.raises(ValueError, match="zero denominator in scalar '3/0'"):
+            scal("3/0")
 
 
 class TestPolarize:

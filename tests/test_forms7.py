@@ -403,11 +403,12 @@ class TestCompactDim:
 
 def _plain_invariants(w: KForm) -> tuple:
     """The invariant vector field by field, one plain rank per system and no
-    minor: ms_rank and stabilizer_dim rank the whole system, and so does the
-    compact rank here."""
+    minor: the contraction rank, stabilizer_dim and the compact rank here
+    rank the whole system, and the signature is read off the Fraction B."""
     restricted = [[row[a] - row[b] for a, b in _ANTISYMMETRIC_COLUMNS]
                   for row in _stabilizer_system(w)]
-    return (ms_rank(w), b_signature(w), stabilizer_dim(w),
+    p, n, _ = signature(b_form(w))
+    return (rank(contraction_matrix(w)), (max(p, n), min(p, n)), stabilizer_dim(w),
             len(_ANTISYMMETRIC_COLUMNS) - rank(restricted))
 
 
@@ -481,9 +482,10 @@ class TestInvariantVector:
     def test_corpus_takes_every_branch(self, monkeypatch):
         """Each elimination sequence invariant_vector can run, seen on the
         corpus: both minors certify; the compact minor falls back; the
-        open-orbit minor falls back; B of rank below 7 ranks C and the
-        whole stabilizer system.  Only a B of rank 7 skips the rank of C and
-        tries the open-orbit minor."""
+        open-orbit minor falls back; B of rank below 7 ranks the 7 x 7 minor
+        of C, then all of C only if that minor is singular (at the canonical
+        and singular forms), and the whole stabilizer system.  Only a B of
+        rank 7 skips the rank of C and tries the open-orbit minor."""
         shapes = self._spy(monkeypatch)
         seen = set()
         corpus = ([w for orbit in range(1, 9) for w in _rational_pullbacks(orbit, 2)]
@@ -491,13 +493,14 @@ class TestInvariantVector:
         for w in corpus:
             shapes.clear()
             full = invariant_vector(w).b_rank == DIM
-            assert ((21, 7) not in shapes) == ((35, 35) in shapes) == full
+            assert ((7, 7) not in shapes) == ((35, 35) in shapes) == full
             seen.add(tuple(shapes))
         assert seen >= {
             ((35, 35), (21, 21)),
             ((35, 35), (35, 49), (21, 21), (35, 21)),
-            ((21, 7), (35, 49), (21, 21)),
-            ((21, 7), (35, 49), (21, 21), (35, 21)),
+            ((7, 7), (35, 49), (21, 21)),
+            ((7, 7), (35, 49), (21, 21), (35, 21)),
+            ((7, 7), (21, 7), (35, 49), (21, 21), (35, 21)),
         }
 
     def test_open_orbit_pullback_needs_no_full_elimination(self, monkeypatch):
@@ -548,6 +551,37 @@ class TestClassifier:
     def test_degree_checked(self):
         with pytest.raises(ValueError):
             classify(alpha(1, 2))
+
+    def test_b_signature_matches_fraction_b(self):
+        for i in range(1, 9):
+            w = sample_orbit(i, 3)[0]
+            p, n, _ = signature(b_form(w))
+            assert b_signature(w) == (max(p, n), min(p, n))
+
+
+class TestClassifierCost:
+    """classify runs no elimination when B has rank 7, and one 7 x 7 minor of
+    the contraction matrix otherwise; only a singular minor ranks all of C."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch) -> list[tuple[int, int]]:
+        return TestInvariantVector._spy(monkeypatch)
+
+    def test_open_orbit_pullback_runs_no_elimination(self, shapes):
+        assert classify(sample_orbit(8, 1)[0]) == 8
+        assert shapes == []
+
+    def test_orbit1_pullback_runs_one_minor(self, shapes):
+        assert classify(sample_orbit(1, 1)[0]) == 1
+        assert shapes == [(7, 7)]
+
+    def test_canonical_orbit1_falls_back_to_the_whole_matrix(self, shapes):
+        assert classify(canonical(1).form) == 1
+        assert shapes == [(7, 7), (21, 7)]
+
+    def test_singular_pullback_falls_back(self, shapes):
+        assert classify(_singular_pullbacks(1)[0]) == NON_MULTISYMPLECTIC
+        assert shapes == [(7, 7), (21, 7)]
 
 
 class TestSampleOrbit:

@@ -18,9 +18,11 @@ took a dimension parameter and every operation dropped zero coefficients
 itself; they pin pullback, wedge and interior on a seeded corpus of sparse
 and dense forms, and integer, rational and singular maps.  The sample_orbit and canon digests
 were computed while pullback still expanded every k x k minor of the map.
-The last test checks signature against the congruence diagonalization it
+The last tests check signature against the congruence diagonalization it
 replaced (``reference_signature`` in conftest) on every matrix its callers
-pass it over these corpora.
+pass it over these corpora, and the integer classifier key, b_form, ms_rank
+and classify against the Fraction path they replaced
+(``reference_classifier_key`` and its neighbours in conftest).
 """
 
 from __future__ import annotations
@@ -39,12 +41,22 @@ import pytest
 from msf7 import forms7, topology
 from msf7.algebras import ALGEBRA_KINDS, build_algebra
 from msf7.cli import main
-from msf7.exterior import DIM, KForm, LinearMap, interior, pullback, signature, wedge
+from msf7.exterior import (
+    DIM,
+    KForm,
+    LinearMap,
+    _inertia,
+    interior,
+    pullback,
+    signature,
+    wedge,
+)
 from msf7.forms7 import (
     _classifier_key,
     _stabilizer_system,
     b_form,
     canonical,
+    classify,
     compact_dim,
     contraction_matrix,
     ms_rank,
@@ -73,7 +85,16 @@ from msf7.stabilizers import (
 )
 
 import conftest
-from conftest import embed_so4_algebra_matrix, norm_signature, reference_signature
+from conftest import (
+    embed_so4_algebra_matrix,
+    norm_signature,
+    rational_invertible,
+    reference_classifier_key,
+    reference_classify,
+    reference_fraction_b_form,
+    reference_ms_rank,
+    reference_signature,
+)
 
 ALGEBRA_DIGESTS = {
     "R": "961f745a059809bb3e6297f2e45637b882ebe4cf904f505d1b5c95aa217752f1",
@@ -396,17 +417,21 @@ def test_check_type_outcomes_are_unchanged():
 
 def test_signature_agrees_with_congruence_reference(monkeypatch):
     """signature against the congruence diagonalization it replaced, on every
-    matrix its callers hand it: B of each corpus form, the norm forms (whole
-    and imaginary part) of the seven algebras, and the functionals that
-    check_type forms for the bundled models and the check_type grid."""
+    matrix its callers hand it or its integer core: D^3 B of each corpus form,
+    the norm forms (whole and imaginary part) of the seven algebras, and the
+    functionals that check_type forms for the bundled models and the
+    check_type grid."""
     seen = []
 
-    def recording(m):
-        seen.append(m)
-        return signature(m)
+    def recorder(fn):
+        def recording(m):
+            seen.append(m)
+            return fn(m)
+        return recording
 
-    for module in (forms7, conftest, topology):
-        monkeypatch.setattr(module, "signature", recording)
+    monkeypatch.setattr(forms7, "_inertia", recorder(_inertia))
+    for module in (conftest, topology):
+        monkeypatch.setattr(module, "signature", recorder(signature))
     for group in _form_corpus().values():
         for w in group:
             _classifier_key(w)
@@ -439,3 +464,45 @@ def _small_and_singular_matrices():
                 out.append([[sum(x * y * t for x, y, t in zip(u, v, s)) for v in ell]
                             for u in ell])
     return out
+
+
+def _pullback_corpus(seed: int = 17) -> list[KForm]:
+    """Ten pullbacks of each canonical form by each kind of seeded map:
+    integer entries in [-3, 3], rational p/q with |p| <= 3 and q <= 5, and
+    rational maps of rank 6 and of rank 5 (their last rows zero)."""
+    rng = random.Random(seed)
+
+    def integer_map():
+        while True:
+            g = LinearMap([[rng.randint(-3, 3) for _ in range(DIM)] for _ in range(DIM)])
+            if g.is_invertible():
+                return g
+
+    def singular_map(rank):
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(DIM)]
+                for _ in range(rank)]
+        return LinearMap(rows + [[0] * DIM] * (DIM - rank))
+
+    makers = (integer_map, lambda: rational_invertible(rng),
+              lambda: singular_map(6), lambda: singular_map(5))
+    return [pullback(make(), canonical(orbit).form)
+            for orbit in range(1, 9) for make in makers for _ in range(10)]
+
+
+@pytest.mark.parametrize("group", ["canonical", "pullbacks", "random", "seeded"])
+def test_classifier_agrees_with_fraction_reference(group):
+    """The integer key path against the Fraction path it replaced, on the
+    golden corpus (its canonical group holds every canonical variant, whose
+    ms_rank minor is singular, so the fallback runs), 320 seeded pullbacks
+    by integer, rational and singular maps, and the zero form."""
+    forms = _pullback_corpus() + [KForm(3)] if group == "seeded" else _form_corpus()[group]
+    answers = set()
+    for w in forms:
+        assert _classifier_key(w) == reference_classifier_key(w)
+        assert b_form(w) == reference_fraction_b_form(w)
+        assert ms_rank(w) == reference_ms_rank(w)
+        answer = classify(w)
+        assert answer == reference_classify(w)
+        answers.add(answer)
+    if group == "seeded":
+        assert answers == set(range(1, 9)) | {forms7.NON_MULTISYMPLECTIC}
