@@ -13,6 +13,9 @@ from .algebras import (
     is_automorphism,
     multiply,
     norm,
+    octonion_form_basis,
+    split_octonion_form_basis,
+    split_octonion_prime_basis,
     triple_form,
 )
 from .exterior import (
@@ -40,6 +43,7 @@ from .forms7 import (
     is_multisymplectic,
     sample_orbit,
     stabilizer_algebra,
+    stabilizer_dim,
 )
 from .stabilizers import (
     embed_gl2pair,
@@ -54,6 +58,7 @@ from .topology import (
     CohomologyModel,
     Verdict,
     bundled_model,
+    bundled_model_names,
     check_type,
     cup_eval,
     load_model,
@@ -63,11 +68,13 @@ __all__ = [
     "AlgebraElement", "AlgebraTable", "CanonicalForm", "CohomologyModel",
     "InvariantVector", "KForm", "LinearMap", "SymmetricMatrix", "Verdict",
     "b_form", "b_signature", "basis_vector", "build_algebra", "bundled_model",
-    "canonical", "check_type", "classify", "compact_dim", "conjugate",
-    "cup_eval", "embed_gl2pair", "embed_sl2pair", "embed_so3_33", "embed_so4",
-    "identity_checks", "interior", "invariant_vector", "is_automorphism",
-    "is_multisymplectic", "kernel", "load_model", "multiply", "norm",
-    "pullback", "sample_orbit", "scal", "signature", "stabilizer_algebra",
+    "bundled_model_names", "canonical", "check_type", "classify",
+    "compact_dim", "conjugate", "cup_eval", "embed_gl2pair", "embed_sl2pair",
+    "embed_so3_33", "embed_so4", "identity_checks", "interior",
+    "invariant_vector", "is_automorphism", "is_multisymplectic", "kernel",
+    "load_model", "multiply", "norm", "octonion_form_basis", "pullback",
+    "sample_orbit", "scal", "signature", "split_octonion_form_basis",
+    "split_octonion_prime_basis", "stabilizer_algebra", "stabilizer_dim",
     "triple_form", "vec", "verify_membership", "verify_paper", "wedge",
 ]
 

@@ -24,11 +24,9 @@ final product reversed fails that identity for quaternion pairs and is
 rejected by the table validator.
 
 The frozen imaginary bases at the end of this module induce the printed
-representatives.  :func:`matrix_in_imaginary_basis` writes a list of
-algebra elements as a 7x7 matrix in one of them; ``forms7`` builds the
-orbit-5 variant's change of basis that way.  The stabilizer embeddings do
-not need it: they keep the two quaternion halves apart, so ``stabilizers``
-reads their blocks straight off quaternion products.
+representatives.  The stabilizer embeddings keep the two quaternion halves
+apart, so ``stabilizers`` reads their blocks straight off quaternion
+products.
 """
 
 from __future__ import annotations
@@ -334,25 +332,6 @@ def triple_form(t: AlgebraTable, basis_map) -> KForm:
                 if c:
                     terms[(p + 1, q + 1, r + 1)] = c
     return KForm(3, terms)
-
-
-@cache
-def _coordinates_in(columns: tuple) -> LinearMap:
-    """Inverse of the matrix with these columns, cached per frozen basis."""
-    return LinearMap.from_cols(columns).inverse()
-
-
-def matrix_in_imaginary_basis(t: AlgebraTable, basis, images) -> LinearMap:
-    """7x7 matrix whose column j holds the coordinates of images[j] in the
-    given 7-element imaginary basis; raises if an image has a unit component."""
-    pinv = _coordinates_in((t.unit().coords, *(b.coords for b in basis)))
-    cols = []
-    for image in images:
-        c = pinv.apply(image.coords)
-        if c[0] != 0:
-            raise ValueError("map does not preserve the imaginary subspace")
-        cols.append(c[1:])
-    return LinearMap.from_cols(cols)
 
 
 # --- frozen imaginary bases ---------------------------------------------------

@@ -197,12 +197,6 @@ class KForm:
 
     __xor__ = wedge
 
-    def coefficient(self, indices: Sequence[int]) -> Fraction:
-        idx, sign = _sort_with_sign(indices)
-        if sign == 0:
-            return Fraction(0)
-        return sign * self.terms.get(idx, Fraction(0))
-
     def to_json(self) -> dict:
         return {"degree": self.degree,
                 "terms": [{"idx": list(idx), "coef": str(c)}
@@ -293,11 +287,6 @@ class LinearMap:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def scaling(cls, c) -> "LinearMap":
-        c = scal(c)
-        return cls([[c if i == j else 0 for j in range(DIM)] for i in range(DIM)])
-
-    @classmethod
     def from_cols(cls, cols: Sequence[Sequence[object]]) -> "LinearMap":
         n = len(cols)
         if any(len(c) != n for c in cols):
@@ -312,14 +301,6 @@ class LinearMap:
         for j, image in images.items():
             cols[j - 1] = [scal(x) for x in image]
         return cls.from_cols(cols)
-
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """g v, summing only the products whose two factors are nonzero; each
-        nonzero entry goes through ``scal``, so a float or a bool raises."""
-        if len(v) != self.n:
-            raise ValueError(f"expected a vector of length {self.n}, got {len(v)}")
-        nonzero = [(j, scal(x)) for j, x in enumerate(v) if x]
-        return tuple(sum((r[j] * x for j, x in nonzero if r[j]), _F0) for r in self.rows)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self * other)."""

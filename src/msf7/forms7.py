@@ -4,7 +4,8 @@ The eight orbit representatives are stored with their printed coefficients.
 Orbit 2 also carries the rational change of basis to its six-term variant
 (the square roots in the intermediate basis cancel once the first three
 vectors are halved, so the stored matrix is exactly rational).  Orbits 5, 6
-and 7 carry alternate representatives: orbit 5 the algebra-derived variant
+and 7 carry alternate representatives, each the pullback of the standard
+form by a stored signed permutation: orbit 5 the split-octonion variant
 used alongside orbit 2, orbits 6 and 7 the representatives obtained through
 the published basis-change maps.
 
@@ -46,11 +47,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from operator import itemgetter, mul
 
-from . import algebras
 from .exterior import (
     DIM,
     KForm,
@@ -101,6 +101,18 @@ _BASIS_CHANGE_2 = LinearMap.from_cols([
     [-1, 0, 0, 1, 0, 0, 0],
 ])
 
+# Change of basis carrying the orbit-5 representative to its variant used
+# alongside orbit 2: e1->-e1, e2->-e4, e3->-e5, e4->-e2, e5->e3.  It writes
+# the split-octonion basis inducing the variant in the coordinates of the one
+# inducing the standard form; the tests derive it from the algebra.
+BASIS_MAP_5 = LinearMap.from_images({
+    1: [-1, 0, 0, 0, 0, 0, 0],
+    2: [0, 0, 0, -1, 0, 0, 0],
+    3: [0, 0, 0, 0, -1, 0, 0],
+    4: [0, -1, 0, 0, 0, 0, 0],
+    5: [0, 0, 1, 0, 0, 0, 0],
+})
+
 # Published map relating the six-term orbit-6 representative to the one used
 # in the original classification: e3 -> -e7, e7 -> e3, e5 -> -e5, e6 -> -e6.
 BASIS_MAP_6 = LinearMap.from_images({
@@ -131,38 +143,29 @@ class CanonicalForm:
     change_of_basis: LinearMap | None  # pullback(change, standard) == this form
 
 
-def _split_variant_change() -> LinearMap:
-    """Invertible map with pullback(map, orbit-5 standard) = orbit-5 prime.
-
-    Both sides are induced forms of the split octonions built over the split
-    quaternions, for two different imaginary bases; the matrix expresses the
-    prime basis in the standard one's coordinates.
-    """
-    return algebras.matrix_in_imaginary_basis(
-        algebras.build_algebra("Osplit_from_Hsplit"),
-        algebras.split_octonion_form_basis(), algebras.split_octonion_prime_basis())
-
-
-# For the prime variants of orbits 5, 6 and 7: the change of basis (built on
-# first use) whose pullback of the standard form gives the variant, and the
-# basis the variant is written in.
+# For the prime variants of orbits 5, 6 and 7: the change of basis whose
+# pullback of the standard form gives the variant, and the basis the variant
+# is written in.
 _PRIME_CHANGES = {
-    5: (_split_variant_change, "beta"),
-    6: (BASIS_MAP_6.inverse, "e"),
-    7: (BASIS_MAP_7.inverse, "e"),
+    5: (BASIS_MAP_5, "beta"),
+    6: (BASIS_MAP_6.inverse(), "e"),
+    7: (BASIS_MAP_7.inverse(), "e"),
 }
 
 
-@cache
+# typed, so canonical(True) misses the entry of canonical(1) and is refused
+@lru_cache(maxsize=None, typed=True)
 def canonical(orbit_id: int, variant: str = "standard") -> CanonicalForm:
     """Exact canonical representative for an orbit.
 
     variant "standard" exists for all eight orbits; "prime" for orbits 2, 5,
     6 and 7 (the alternates the classification works with).  The stored
     change-of-basis map carries the standard form to the variant by pullback.
+    An orbit id that is not an int (a bool or a float included) raises
+    ValueError.
     """
-    if orbit_id not in ORBIT_IDS:
-        raise ValueError(f"orbit id must be 1..8, got {orbit_id}")
+    if type(orbit_id) is not int or orbit_id not in ORBIT_IDS:
+        raise ValueError(f"orbit id must be 1..8, got {orbit_id!r}")
     if variant == "standard":
         return CanonicalForm(orbit_id, "standard",
                              KForm.from_terms(3, _ORBIT_TERMS[orbit_id]), "e", None)
@@ -173,8 +176,7 @@ def canonical(orbit_id: int, variant: str = "standard") -> CanonicalForm:
                              "beta", _BASIS_CHANGE_2)
     if orbit_id not in _PRIME_CHANGES:
         raise ValueError(f"orbit {orbit_id} has no prime variant")
-    make_change, source_basis = _PRIME_CHANGES[orbit_id]
-    change = make_change()
+    change, source_basis = _PRIME_CHANGES[orbit_id]
     return CanonicalForm(orbit_id, "prime", pullback(change, canonical(orbit_id).form),
                          source_basis, change)
 
@@ -218,12 +220,6 @@ def _contractions(c: list[int]) -> list[list[int]]:
     for m, p, k, s in _wedge_table(1, 2):
         rows[p][m] = s * c[k]
     return rows
-
-
-def contraction_matrix(w: KForm) -> list[list[Fraction]]:
-    """21 x 7 matrix of v -> interior(v, w) in the pair basis of 2-forms."""
-    c, d = _scaled_coefficients(w)
-    return [[Fraction(x, d) for x in row] for row in _contractions(c)]
 
 
 # Seven pair rows of C (12, 34, 56, 17, 23, 45, 67: each index in two of
@@ -347,6 +343,7 @@ def _stab_dim(rows: list[list[int]], open_orbit: bool) -> int:
 
 
 def stabilizer_dim(w: KForm) -> int:
+    """Dimension of the stabilizer algebra of w, a GL(7) invariant."""
     return _stab_dim(_stabilizer_system(w), open_orbit=False)
 
 
@@ -419,15 +416,6 @@ def _key_data(w: KForm) -> tuple[list[list[int]], tuple]:
     return contractions, (p + n, (max(p, n), min(p, n)), divisible)
 
 
-def _classifier_key(w: KForm) -> tuple:
-    """(rank of B, unordered signature of B, divisibility flag or None).
-
-    The flag is only defined when B has rank 1: then B = c l (x) l and every
-    nonzero row of B is a multiple of l; the flag says whether l ^ w = 0.
-    """
-    return _key_data(w)[1]
-
-
 # Keys of the eight canonical forms; the tests recompute them.
 _CLASSIFIER_TABLE = {
     (2, (1, 1), None): 1,
@@ -469,11 +457,11 @@ def sample_orbit(orbit_id: int, seed: int) -> tuple[KForm, LinearMap]:
 
     Seeds are integers in 0..2^64-1 fed to Python's Mersenne Twister; any
     other seed (a bool included) raises ValueError rather than being folded
-    into the range.  Only integer draws are used, so output is stable across
-    platforms.
+    into the range; so does an orbit id that is not an int.  Only integer
+    draws are used, so output is stable across platforms.
     """
-    if orbit_id not in ORBIT_IDS:
-        raise ValueError(f"orbit id must be 1..8, got {orbit_id}")
+    if type(orbit_id) is not int or orbit_id not in ORBIT_IDS:
+        raise ValueError(f"orbit id must be 1..8, got {orbit_id!r}")
     if type(seed) is not int or not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be an integer in 0..2^64-1, got {seed!r}")
     rng = random.Random(seed)

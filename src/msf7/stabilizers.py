@@ -61,13 +61,6 @@ def unit_quaternion(u1, u2, u3) -> tuple[Fraction, Fraction, Fraction, Fraction]
     return ((1 - u1 * u1 - u2 * u2 - u3 * u3) / d, 2 * u1 / d, 2 * u2 / d, 2 * u3 / d)
 
 
-def rotation_cs(t) -> tuple[Fraction, Fraction]:
-    """Rational (cos, sin) pair from the tan-half-angle parameter t."""
-    t = scal(t)
-    d = 1 + t * t
-    return ((1 - t * t) / d, 2 * t / d)
-
-
 def rotation_matrix(cs: tuple[Fraction, Fraction]):
     c, s = cs
     if c * c + s * s != 1:

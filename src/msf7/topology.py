@@ -159,6 +159,7 @@ def load_model(path) -> CohomologyModel:
 
 
 def bundled_model_names() -> list[str]:
+    """The names ``bundled_model`` accepts, sorted."""
     root = resources.files("msf7").joinpath("models")
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
@@ -322,10 +323,13 @@ def check_type(model: CohomologyModel, type_id: int, bound: int = DEFAULT_BOUND)
 
     Raises HypothesisError when the relevant theorem's standing hypotheses
     (orientability for types 3..8, simple connectivity for types 1 and 2)
-    are not satisfied; criteria failures return NO instead.
+    are not satisfied; criteria failures return NO instead.  A type id or a
+    bound that is not an int (a bool or a float included) raises ValueError.
     """
-    if type_id not in range(1, 9):
-        raise ValueError(f"type must be 1..8, got {type_id}")
+    if type(type_id) is not int or type_id not in range(1, 9):
+        raise ValueError(f"type must be 1..8, got {type_id!r}")
+    if type(bound) is not int:
+        raise ValueError(f"bound must be an integer, got {bound!r}")
     if bound < 1:
         raise ValueError("bound must be positive")
 

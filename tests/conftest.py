@@ -13,12 +13,20 @@ pair action, a span test for matrices, the norm-form signature of an
 algebra and the matrix transpose, the max-norm shell enumeration the
 topology search ran before it solved for the last coordinate, and the
 definite-functional bound it computed by polarizing the criterion before it
-read Gram matrices off the cup tensor."""
+read Gram matrices off the cup tensor.
+
+Last, the definitions the package keeps out of ``src/`` because only the
+tests reach them: ``matrix_in_imaginary_basis``, which derives the stored
+orbit-5 change ``BASIS_MAP_5`` from the split octonions and reads back the
+reference embeddings, and the small accessors ``apply``, ``coefficient``,
+``scaling``, ``rotation_cs``, ``contraction_matrix`` and
+``_classifier_key``."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import prod
 from typing import Sequence
@@ -36,7 +44,6 @@ from msf7.algebras import (
     _pair,
     build_algebra,
     conjugate,
-    matrix_in_imaginary_basis,
     norm,
     octonion_form_basis,
     split_quaternion_coords,
@@ -48,7 +55,9 @@ from msf7.exterior import (
     LinearMap,
     SymmetricMatrix,
     _SUBSETS,
+    _F0,
     _echelon,
+    _sort_with_sign,
     _wedge_table,
     kernel,
     polarize,
@@ -63,6 +72,7 @@ from msf7.forms7 import (
     _CLASSIFIER_TABLE,
     _contractions,
     _divides,
+    _key_data,
     _scaled_coefficients,
 )
 from msf7.stabilizers import _as_quaternion
@@ -102,6 +112,10 @@ def invertible_maps(draw):
     m = draw(linear_maps())
     assume(m.is_invertible())
     return m
+
+
+def alpha(*idx):
+    return KForm.monomial(idx)
 
 
 def rational_invertible(rng) -> LinearMap:
@@ -464,3 +478,67 @@ def reference_exhaustion_bound(qvec, dim: int, r4: int, target) -> int | None:
             box = max(box, math.isqrt(cap.numerator // cap.denominator))
         return box
     return None
+
+
+# --- definitions only the tests reach ------------------------------------------
+
+@cache
+def _coordinates_in(columns: tuple) -> LinearMap:
+    """Inverse of the matrix with these columns, cached per frozen basis."""
+    return LinearMap.from_cols(columns).inverse()
+
+
+def matrix_in_imaginary_basis(t: AlgebraTable, basis, images) -> LinearMap:
+    """7x7 matrix whose column j holds the coordinates of images[j] in the
+    given 7-element imaginary basis; raises if an image has a unit component."""
+    pinv = _coordinates_in((t.unit().coords, *(b.coords for b in basis)))
+    cols = []
+    for image in images:
+        c = apply(pinv, image.coords)
+        if c[0] != 0:
+            raise ValueError("map does not preserve the imaginary subspace")
+        cols.append(c[1:])
+    return LinearMap.from_cols(cols)
+
+
+def apply(g: LinearMap, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """g v, summing only the products whose two factors are nonzero; each
+    nonzero entry goes through ``scal``, so a float or a bool raises."""
+    if len(v) != g.n:
+        raise ValueError(f"expected a vector of length {g.n}, got {len(v)}")
+    nonzero = [(j, scal(x)) for j, x in enumerate(v) if x]
+    return tuple(sum((r[j] * x for j, x in nonzero if r[j]), _F0) for r in g.rows)
+
+
+def coefficient(w: KForm, indices: Sequence[int]) -> Fraction:
+    idx, sign = _sort_with_sign(indices)
+    if sign == 0:
+        return Fraction(0)
+    return sign * w.terms.get(idx, Fraction(0))
+
+
+def scaling(c) -> LinearMap:
+    c = scal(c)
+    return LinearMap([[c if i == j else 0 for j in range(DIM)] for i in range(DIM)])
+
+
+def rotation_cs(t) -> tuple[Fraction, Fraction]:
+    """Rational (cos, sin) pair from the tan-half-angle parameter t."""
+    t = scal(t)
+    d = 1 + t * t
+    return ((1 - t * t) / d, 2 * t / d)
+
+
+def contraction_matrix(w: KForm) -> list[list[Fraction]]:
+    """21 x 7 matrix of v -> interior(v, w) in the pair basis of 2-forms."""
+    c, d = _scaled_coefficients(w)
+    return [[Fraction(x, d) for x in row] for row in _contractions(c)]
+
+
+def _classifier_key(w: KForm) -> tuple:
+    """(rank of B, unordered signature of B, divisibility flag or None).
+
+    The flag is only defined when B has rank 1: then B = c l (x) l and every
+    nonzero row of B is a multiple of l; the flag says whether l ^ w = 0.
+    """
+    return _key_data(w)[1]

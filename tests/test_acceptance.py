@@ -27,12 +27,10 @@ from msf7.forms7 import (
     canonical,
     classify,
     compact_dim,
-    contraction_matrix,
     is_multisymplectic,
     random_invertible,
     stabilizer_dim,
     _CLASSIFIER_TABLE,
-    _classifier_key,
 )
 from msf7.stabilizers import (
     catalog,
@@ -47,6 +45,8 @@ from msf7.stabilizers import (
     verify_membership,
 )
 from msf7.topology import ADMITS, NO, bundled_model, bundled_model_names, check_type, verify_witness
+
+from conftest import _classifier_key, contraction_matrix
 
 
 def conclude(number: int, description: str, ok: bool, detail: str = ""):

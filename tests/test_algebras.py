@@ -17,13 +17,14 @@ from msf7.algebras import (
     norm,
     octonion_form_basis,
     split_octonion_form_basis,
+    split_octonion_prime_basis,
     triple_form,
     _double,
 )
 from msf7.exterior import LinearMap, pullback
-from msf7.forms7 import canonical
+from msf7.forms7 import BASIS_MAP_5, canonical
 
-from conftest import norm_signature
+from conftest import coefficient, matrix_in_imaginary_basis, norm_signature
 
 
 def el(t, *coords):
@@ -169,6 +170,19 @@ class TestTripleForm:
         t = build_algebra("Osplit_from_Hsplit")
         assert triple_form(t, split_octonion_form_basis()) == canonical(5).form
 
+    def test_split_octonions_give_orbit5_prime(self):
+        t = build_algebra("Osplit_from_Hsplit")
+        assert triple_form(t, split_octonion_prime_basis()) == canonical(5, "prime").form
+
+    def test_stored_orbit5_change_is_the_algebra_basis_change(self):
+        """BASIS_MAP_5 writes the prime basis in the standard basis's
+        coordinates, so its pullback carries one induced form to the other."""
+        t = build_algebra("Osplit_from_Hsplit")
+        derived = matrix_in_imaginary_basis(t, split_octonion_form_basis(),
+                                            split_octonion_prime_basis())
+        assert derived == BASIS_MAP_5
+        assert canonical(5, "prime").change_of_basis == BASIS_MAP_5
+
     def test_swapping_arguments_flips_sign(self):
         O = build_algebra("O")
         basis = octonion_form_basis()
@@ -176,8 +190,8 @@ class TestTripleForm:
         transpose = LinearMap.from_images({1: [0, 1, 0, 0, 0, 0, 0],
                                            2: [1, 0, 0, 0, 0, 0, 0]})
         assert triple_form(O, swapped) == pullback(transpose, triple_form(O, basis))
-        assert triple_form(O, swapped).coefficient((1, 2, 3)) == \
-            -triple_form(O, basis).coefficient((1, 2, 3))
+        assert coefficient(triple_form(O, swapped), (1, 2, 3)) == \
+            -coefficient(triple_form(O, basis), (1, 2, 3))
 
     def test_non_imaginary_basis_rejected(self):
         O = build_algebra("O")

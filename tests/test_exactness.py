@@ -9,9 +9,11 @@ the sign routine ``_sort_with_sign`` outside ``exterior.py``: other modules
 read their signs off ``wedge`` and ``interior``.  A definition of
 ``_SUBSETS``, ``_INDEX`` or ``_wedge_table`` (an assignment, a def or a
 class) outside ``exterior.py`` fails too: other modules import them, so one
-copy of each table exists.  Every module-level def or class, and every
-non-dunder method, must be used somewhere in the package, the tests or the
-benchmark; the scan reports the ones nothing names.
+copy of each table exists.  Every module-level def or class must be named
+somewhere in the package or exported in an ``__all__``, and every non-dunder
+method reached from the package; a use in the tests or the benchmark does
+not count, so a definition only they reach lives with them.  ``forms7``
+imports nothing from the package but ``exterior``.
 """
 
 from __future__ import annotations
@@ -144,11 +146,6 @@ def test_index_table_scan_allows_imports():
         "from .exterior import _INDEX, _SUBSETS, _wedge_table\nx = _SUBSETS[3]") == []
 
 
-REPO = Path(__file__).resolve().parent.parent
-REFERENCING = (SOURCES + sorted((REPO / "tests").glob("*.py"))
-               + sorted((REPO / "perfbench").glob("*.py")))
-
-
 def _is_def(node) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
@@ -167,17 +164,26 @@ def _references(tree) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
-def dead_definitions(package: list[str], others: list[str] = ()) -> list[str]:
-    """Module-level defs and classes of the package sources that no source
-    names (bare, imported or as a module attribute) outside their own body,
-    and non-dunder methods that no source reaches as an attribute and their
-    own class body does not name (``__matmul__ = compose``)."""
+def _exported(node) -> set[str]:
+    """The names a module-level ``__all__ = [...]`` lists, else none."""
+    if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                            for t in node.targets):
+        return set(ast.literal_eval(node.value))
+    return set()
+
+
+def dead_definitions(package: list[str]) -> list[str]:
+    """Module-level defs and classes of the package sources that no package
+    source names (bare, imported or as a module attribute) outside their own
+    body and no ``__all__`` exports, and non-dunder methods that no package
+    source reaches as an attribute and their own class body does not name
+    (``__matmul__ = compose``)."""
     trees = [ast.parse(s) for s in package]
     names, attrs = set(), set()
-    for tree in trees + [ast.parse(s) for s in others]:
+    for tree in trees:
         for node in tree.body:
             found = _references(node)
-            names |= found[0] - ({node.name} if _is_def(node) else set())
+            names |= found[0] - ({node.name} if _is_def(node) else set()) | _exported(node)
             attrs |= found[1]
     dead = []
     for tree in trees:
@@ -195,8 +201,7 @@ def dead_definitions(package: list[str], others: list[str] = ()) -> list[str]:
 
 
 def test_every_definition_is_used():
-    read = [p.read_text(encoding="utf-8") for p in REFERENCING]
-    assert dead_definitions(read[:len(SOURCES)], read[len(SOURCES):]) == []
+    assert dead_definitions([p.read_text(encoding="utf-8") for p in SOURCES]) == []
 
 
 @pytest.mark.parametrize("snippet", [
@@ -206,6 +211,7 @@ def test_every_definition_is_used():
     "class A:\n    def unused(self):\n        return 1\n\nA()",
     "class A:\n    def compose(self, o):\n        return o\n\n    def other(self):\n"
     "        compose = 1\n        return compose\n\nA().other()",
+    "class A:\n    def m(self):\n        return 1\n\n__all__ = ['A', 'm']",
 ])
 def test_dead_definition_scan_catches(snippet):
     assert dead_definitions([snippet])
@@ -217,13 +223,52 @@ def test_dead_definition_scan_catches(snippet):
     "class A:\n    def used(self):\n        return 1\n\nA().used()",
     "def _dunder_only():\n    pass\n\nclass B:\n    def __repr__(self):\n        return ''\n\n"
     "_dunder_only(); B()",
+    "def exported():\n    return 1\n\n__all__ = ['exported']",
 ])
 def test_dead_definition_scan_allows_uses(snippet):
     assert dead_definitions([snippet]) == []
 
 
-def test_dead_definition_scan_reads_other_sources():
+def test_dead_definition_scan_reads_the_package_only():
+    """A use from another package source or an ``__all__`` keeps a
+    definition; a method only the package can keep.  Only the package's own
+    modules reach the scan, so the same use in a test file keeps nothing."""
     package = ["def helper():\n    pass\n\nclass A:\n    def m(self):\n        pass"]
     assert dead_definitions(package) == ["helper", "A", "A.m"]
-    assert dead_definitions(package, ["from msf7.x import A, helper\nA().m()"]) == []
-    assert dead_definitions(package, ["from msf7 import x\nx.helper(); x.A"]) == ["A.m"]
+    assert dead_definitions(package + ["from .x import A, helper\nA().m()"]) == []
+    assert dead_definitions(package + ["from . import x\nx.helper(); x.A"]) == ["A.m"]
+    assert dead_definitions(package + ["__all__ = ['A', 'helper']"]) == ["A.m"]
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package a source imports: ``.x`` or ``msf7.x`` as x,
+    and each name of ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level and not module:
+                found |= {a.name for a in node.names}
+            elif node.level or module.split(".")[0] == "msf7":
+                found.add(module.split(".")[-1] if module != "msf7" else "msf7")
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[-1] for a in node.names
+                      if a.name.split(".")[0] == "msf7"}
+    return found
+
+
+def test_forms7_imports_only_exterior():
+    source = (Path(msf7.__file__).parent / "forms7.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"exterior"}
+
+
+@pytest.mark.parametrize("snippet, modules", [
+    ("from . import algebras", {"algebras"}),
+    ("from .algebras import build_algebra", {"algebras"}),
+    ("from msf7.topology import check_type", {"topology"}),
+    ("import msf7.stabilizers", {"stabilizers"}),
+    ("from msf7 import classify", {"msf7"}),
+    ("import random\nfrom fractions import Fraction\nfrom .exterior import DIM", {"exterior"}),
+])
+def test_package_import_scan(snippet, modules):
+    assert package_imports(snippet) == modules

@@ -32,7 +32,6 @@ from msf7.forms7 import (
     canonical,
     classify,
     compact_dim,
-    contraction_matrix,
     invariant_vector,
     is_multisymplectic,
     ms_rank,
@@ -44,24 +43,25 @@ from msf7.forms7 import (
     _BY_P,
     _CLASSIFIER_TABLE,
     _OPEN_PIVOTS,
-    _classifier_key,
     _divides,
     _stabilizer_system,
 )
 
 from conftest import (
+    _classifier_key,
+    alpha,
+    apply,
+    coefficient,
     coefficients,
+    contraction_matrix,
     evaluate,
     in_matrix_span,
     kforms,
     rational_invertible,
+    scaling,
     transpose,
     vectors,
 )
-
-
-def alpha(*idx):
-    return KForm.monomial(idx)
 
 
 # --- reference definitions the integer code paths are checked against ------
@@ -78,7 +78,7 @@ def reference_b_form(w: KForm) -> SymmetricMatrix:
 
 
 def reference_contraction_matrix(w: KForm) -> list[list[Fraction]]:
-    return [[w.coefficient((j, p, q)) for j in range(1, DIM + 1)]
+    return [[coefficient(w, (j, p, q)) for j in range(1, DIM + 1)]
             for (p, q) in combinations(range(1, DIM + 1), 2)]
 
 
@@ -87,9 +87,9 @@ def reference_stabilizer_system(w: KForm) -> list[list[Fraction]]:
     for (p, q, r) in combinations(range(1, DIM + 1), 3):
         row = [Fraction(0)] * (DIM * DIM)
         for m in range(1, DIM + 1):
-            row[(m - 1) * DIM + (p - 1)] += w.coefficient((m, q, r))
-            row[(m - 1) * DIM + (q - 1)] += w.coefficient((p, m, r))
-            row[(m - 1) * DIM + (r - 1)] += w.coefficient((p, q, m))
+            row[(m - 1) * DIM + (p - 1)] += coefficient(w, (m, q, r))
+            row[(m - 1) * DIM + (q - 1)] += coefficient(w, (p, m, r))
+            row[(m - 1) * DIM + (r - 1)] += coefficient(w, (p, q, m))
         rows.append(row)
     return rows
 
@@ -122,14 +122,6 @@ def reference_key(w: KForm) -> tuple:
     return (p + n, (max(p, n), min(p, n)), stabilizer_dim(w))
 
 
-def rational_invertible(rng: random.Random) -> LinearMap:
-    while True:
-        g = LinearMap([[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(DIM)]
-                       for _ in range(DIM)])
-        if g.is_invertible():
-            return g
-
-
 @st.composite
 def dense_3forms(draw):
     return KForm(3, {t: draw(coefficients) for t in combinations(range(1, DIM + 1), 3)})
@@ -147,16 +139,16 @@ class TestCanonical:
     def test_orbit8_prints_exactly_seven_terms(self):
         w8 = canonical(8).form
         assert len(w8.terms) == 7
-        assert w8.coefficient((1, 2, 3)) == 1
-        assert w8.coefficient((1, 6, 7)) == -1
-        assert w8.coefficient((3, 5, 6)) == -1
+        assert coefficient(w8, (1, 2, 3)) == 1
+        assert coefficient(w8, (1, 6, 7)) == -1
+        assert coefficient(w8, (3, 5, 6)) == -1
 
     def test_orbit2_alternate_has_six_terms_in_second_basis(self):
         cf = canonical(2, "prime")
         assert cf.source_basis == "beta"
         assert len(cf.form.terms) == 6
-        assert cf.form.coefficient((1, 4, 5)) == 1
-        assert cf.form.coefficient((3, 5, 6)) == -1
+        assert coefficient(cf.form, (1, 4, 5)) == 1
+        assert coefficient(cf.form, (3, 5, 6)) == -1
 
     @pytest.mark.parametrize("orbit", [2, 5, 6, 7])
     def test_alternates_reachable_by_stored_map(self, orbit):
@@ -175,6 +167,12 @@ class TestCanonical:
             canonical(0)
         with pytest.raises(ValueError, match="unknown variant"):
             canonical(3, "double-prime")
+
+    @pytest.mark.parametrize("orbit", [True, 8.0, 5.0])
+    def test_ids_that_are_not_ints_rejected(self, orbit):
+        canonical(1)  # a cached int must not answer for a bool
+        with pytest.raises(ValueError, match="orbit id must be 1..8"):
+            canonical(orbit)
 
 
 class TestMultisymplectic:
@@ -222,7 +220,7 @@ class TestBForm:
         draws = [LinearMap([[rng.randint(-2, 2) for _ in range(7)] for _ in range(7)])
                  for _ in range(12)]
         # force a singular draw into the batch
-        draws.append(LinearMap.scaling(0))
+        draws.append(scaling(0))
         for g in draws:
             lhs = b_form(pullback(g, w))
             rhs = (transpose(g) @ LinearMap(B.rows) @ g)
@@ -341,9 +339,9 @@ class TestStabilizer:
                 u = tuple(Fraction(rng.randint(-2, 2)) for _ in range(7))
                 v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(7))
                 x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(7))
-                total = (evaluate(w, [A.apply(u), v, x])
-                         + evaluate(w, [u, A.apply(v), x])
-                         + evaluate(w, [u, v, A.apply(x)]))
+                total = (evaluate(w, [apply(A, u), v, x])
+                         + evaluate(w, [u, apply(A, v), x])
+                         + evaluate(w, [u, v, apply(A, x)]))
                 assert total == 0
 
     def test_closed_under_commutator(self):
@@ -604,6 +602,11 @@ class TestSampleOrbit:
     def test_orbit_range_checked(self):
         with pytest.raises(ValueError):
             sample_orbit(9, 0)
+
+    @pytest.mark.parametrize("orbit", [True, 3.0])
+    def test_orbit_ids_that_are_not_ints_are_refused(self, orbit):
+        with pytest.raises(ValueError, match="orbit id must be 1..8"):
+            sample_orbit(orbit, 0)
 
     def test_seed_range_ends(self):
         low, _ = sample_orbit(3, 0)

@@ -52,13 +52,11 @@ from msf7.exterior import (
     wedge,
 )
 from msf7.forms7 import (
-    _classifier_key,
     _stabilizer_system,
     b_form,
     canonical,
     classify,
     compact_dim,
-    contraction_matrix,
     ms_rank,
     sample_orbit,
     stabilizer_dim,
@@ -76,7 +74,6 @@ from msf7.stabilizers import (
     embed_sl2pair,
     embed_so3_33,
     embed_so4,
-    rotation_cs,
     sample_gl2,
     sample_sl2pair,
     torus_matrix,
@@ -86,6 +83,8 @@ from msf7.stabilizers import (
 
 import conftest
 from conftest import (
+    _classifier_key,
+    contraction_matrix,
     embed_so4_algebra_matrix,
     norm_signature,
     rational_invertible,
@@ -94,6 +93,7 @@ from conftest import (
     reference_fraction_b_form,
     reference_ms_rank,
     reference_signature,
+    rotation_cs,
 )
 
 ALGEBRA_DIGESTS = {

@@ -10,7 +10,6 @@ import pytest
 from msf7.algebras import (
     build_algebra,
     is_automorphism,
-    matrix_in_imaginary_basis,
     multiply,
     octonion_form_basis,
 )
@@ -25,7 +24,6 @@ from msf7.stabilizers import (
     embed_so3_33,
     embed_so4,
     identity_checks,
-    rotation_cs,
     sample_gl2,
     sample_sl2pair,
     torus_from_rotation_pair,
@@ -39,8 +37,10 @@ from conftest import (
     _pair_action,
     _sandwich,
     embed_so4_algebra_matrix,
+    matrix_in_imaginary_basis,
     reference_embed_sl2pair,
     reference_embed_so4,
+    rotation_cs,
     wedge_pullback,
 )
 

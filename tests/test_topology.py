@@ -268,6 +268,16 @@ class TestCriteria:
         with pytest.raises(ValueError, match="bound"):
             check_type(m, 4, bound=0)
 
+    @pytest.mark.parametrize("type_id", [True, 5.0, 4.0])
+    def test_type_ids_that_are_not_ints_rejected(self, type_id):
+        with pytest.raises(ValueError, match="type must be 1..8"):
+            check_type(bundled_model("s7"), type_id)
+
+    @pytest.mark.parametrize("bound", [2.5, 3.0, True])
+    def test_bounds_that_are_not_ints_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound must be an integer"):
+            check_type(bundled_model("s7"), 4, bound)
+
     def test_witness_determinism_shell_order(self):
         m = bundled_model("s5xs2")
         v = check_type(m, 1)
