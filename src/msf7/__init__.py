@@ -1,8 +1,10 @@
 """Exact classification machinery for multisymplectic 3-forms on R^7.
 
-Everything computes over arbitrary-precision rationals; all values are
-immutable and every operation is a pure function, so the API is safe to use
-from concurrent workers without coordination.
+Everything computes over arbitrary-precision rationals, and every operation
+is a pure function that returns new values.  The contents of a value cannot
+be changed in place (``KForm.terms`` is a read-only map and
+``LinearMap.rows`` a tuple of tuples), but attributes can still be rebound,
+so callers must not assign to them.
 """
 
 from .algebras import (

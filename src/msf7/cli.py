@@ -23,14 +23,7 @@ import os
 import sys
 
 from .exterior import KForm
-from .forms7 import (
-    NON_MULTISYMPLECTIC,
-    UNKNOWN,
-    canonical,
-    classify,
-    invariant_vector,
-    sample_orbit,
-)
+from .forms7 import canonical, classify, compact_dim, invariant_vector, sample_orbit
 from .stabilizers import verify_paper
 from .topology import (
     DEFAULT_BOUND,
@@ -89,7 +82,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    iv = invariant_vector(_read_form(args.form))
+    form = _read_form(args.form)
+    iv = invariant_vector(form)
     if args.json:
         print(json.dumps(iv.to_json()))
     else:
@@ -97,7 +91,7 @@ def _cmd_invariants(args) -> int:
         print(f"b_rank       {iv.b_rank}")
         print(f"b_signature  {iv.b_signature[0]},{iv.b_signature[1]}")
         print(f"stab_dim     {iv.stab_dim}")
-        print(f"compact_dim  {iv.compact_dim}  (representative dependent)")
+        print(f"compact_dim  {compact_dim(form)}  (representative dependent)")
     return 0
 
 

@@ -49,6 +49,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -121,13 +122,12 @@ def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 class KForm:
     """Alternating k-form on R^7 with exact rational coefficients.
 
-    ``terms`` maps strictly increasing index tuples (1-based) to nonzero
-    Fractions; the constructor is the one place that drops zero
-    coefficients, so operations may pass it sums that cancel.  Any degree
-    k >= 0 is allowed, but above 7 no increasing index tuple exists in 1..7,
-    so the zero form is the only k-form.  Instances are treated as immutable
-    values; all operations return new forms.  Two forms are equal iff degree
-    and term maps agree.
+    ``terms`` is a read-only map from strictly increasing index tuples
+    (1-based) to nonzero Fractions; the constructor is the one place that
+    drops zero coefficients, so operations may pass it sums that cancel.  Any
+    degree k >= 0 is allowed, but above 7 no increasing index tuple exists in
+    1..7, so the zero form is the only k-form.  All operations return new
+    forms.  Two forms are equal iff degree and term maps agree.
     """
 
     __slots__ = ("degree", "terms")
@@ -148,7 +148,7 @@ class KForm:
             c = scal(c)
             if c:
                 clean[idx] = c
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     @classmethod
     def monomial(cls, indices: Sequence[int], coef=1) -> "KForm":
@@ -164,6 +164,10 @@ class KForm:
             if sign:
                 acc[idx] = acc.get(idx, 0) + sign * scal(coef)
         return cls(degree, acc)
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; rebuild from a dict
+        return KForm, (self.degree, dict(self.terms))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, KForm) and self.degree == other.degree

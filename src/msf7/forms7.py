@@ -36,9 +36,10 @@ nonsingular r x r minor of a matrix with r columns (or r rows) proves full
 rank, and a singular one proves nothing (rows outside it may still be
 independent), so the whole matrix is ranked as before.  The ms_rank minor
 is the pair rows ``_MS_PIVOTS`` of C.  ``invariant_vector`` also builds the
-35 x 49 stabilizer system once: its compact minor is the first 21 rows of
-the 35 x 21 system (compact_dim = 0), and its stabilizer minor, tried when
-B has rank 7, the 35 columns ``_OPEN_PIVOTS`` (stab_dim = 14).
+35 x 49 stabilizer system once; its minor, tried when B has rank 7, is the
+35 columns ``_OPEN_PIVOTS`` (stab_dim = 14).  The invariant vector holds
+orbit invariants only: ``compact_dim``, which depends on the representative,
+is computed by its own function.
 """
 
 from __future__ import annotations
@@ -347,28 +348,21 @@ def stabilizer_dim(w: KForm) -> int:
     return _stab_dim(_stabilizer_system(w), open_orbit=False)
 
 
-def _compact_dim(rows: list[list[int]]) -> int:
-    """Kernel dimension of the stabilizer system restricted to so(7); the
-    minor on the first 21 rows is tried first."""
-    restricted = [[row[a] - row[b] for a, b in _ANTISYMMETRIC_COLUMNS] for row in rows]
-    n = len(_ANTISYMMETRIC_COLUMNS)
-    if rank(restricted[:n]) == n:
-        return 0
-    return n - rank(restricted)
-
-
 def compact_dim(w: KForm) -> int:
     """Dimension of the stabilizer algebra intersected with so(7), the
     antisymmetric matrices.  Only meaningful at the preferred representatives
-    (the intersection is basis dependent).
+    (the intersection is basis dependent), so ``invariant_vector`` leaves it
+    out.
 
     so(7) is parametrized by its 21 entries a_mp, m < p, with A[m][p] = a_mp
     and A[p][m] = -a_mp, a bijection from Q^21.  The stabilizer system
     restricted to it is the 35 x 21 matrix whose (m, p) column is column
     m*7+p minus column p*7+m of the 35 x 49 system, and the intersection is
-    its kernel.
+    its kernel, of dimension 21 minus its rank.
     """
-    return _compact_dim(_stabilizer_system(w))
+    restricted = [[row[a] - row[b] for a, b in _ANTISYMMETRIC_COLUMNS]
+                  for row in _stabilizer_system(w)]
+    return len(_ANTISYMMETRIC_COLUMNS) - rank(restricted)
 
 
 @dataclass(frozen=True)
@@ -377,25 +371,21 @@ class InvariantVector:
     b_rank: int
     b_signature: tuple[int, int]
     stab_dim: int
-    compact_dim: int
 
     def to_json(self) -> dict:
-        # wire format carries only the representative-independent fields
         return {"ms_rank": self.ms_rank, "b_rank": self.b_rank,
                 "b_sig": list(self.b_signature), "stab_dim": self.stab_dim}
 
 
 def invariant_vector(w: KForm) -> InvariantVector:
-    """All invariants in one pass (see the module docstring)."""
+    """The orbit invariants in one pass (see the module docstring)."""
     contractions, (b_rank, b_sig, _) = _key_data(w)
     open_orbit = b_rank == DIM
-    rows = _stabilizer_rows(contractions)
     return InvariantVector(
         ms_rank=DIM if open_orbit else _ms_rank(contractions),
         b_rank=b_rank,
         b_signature=b_sig,
-        stab_dim=_stab_dim(rows, open_orbit),
-        compact_dim=_compact_dim(rows),
+        stab_dim=_stab_dim(_stabilizer_rows(contractions), open_orbit),
     )
 
 

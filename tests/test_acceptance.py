@@ -10,8 +10,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
-
 from msf7.algebras import (
     build_algebra,
     multiply,
@@ -21,7 +19,7 @@ from msf7.algebras import (
     triple_form,
 )
 from msf7.cli import fuzz_iterations
-from msf7.exterior import KForm, LinearMap, kernel, pullback, wedge
+from msf7.exterior import KForm, kernel, pullback, wedge
 from msf7.forms7 import (
     b_signature,
     canonical,

@@ -11,7 +11,6 @@ from msf7.algebras import (
     ALGEBRA_KINDS,
     build_algebra,
     conjugate,
-    inner,
     is_automorphism,
     multiply,
     norm,

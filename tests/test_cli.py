@@ -157,7 +157,8 @@ class TestInvariants:
         path = tmp_path / "form.json"
         path.write_text(json.dumps(canonical(3).form.to_json()))
         code, out, _ = run(capsys, "invariants", str(path))
-        assert code == 0 and "compact_dim" in out
+        assert code == 0
+        assert "compact_dim  9  (representative dependent)" in out.splitlines()
 
 
 class TestSample:

@@ -13,7 +13,9 @@ copy of each table exists.  Every module-level def or class must be named
 somewhere in the package or exported in an ``__all__``, and every non-dunder
 method reached from the package; a use in the tests or the benchmark does
 not count, so a definition only they reach lives with them.  ``forms7``
-imports nothing from the package but ``exterior``.
+imports nothing from the package but ``exterior``.  Every name a package
+module or a test file imports is named again in that file or listed in its
+``__all__`` (``from __future__`` imports are exempt).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import msf7
 
 INTEGER_MATH = {"lcm", "gcd", "isqrt"}
 SOURCES = sorted(Path(msf7.__file__).parent.glob("*.py"))
+TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def violations(source: str) -> list[str]:
@@ -272,3 +275,53 @@ def test_forms7_imports_only_exterior():
 ])
 def test_package_import_scan(snippet, modules):
     assert package_imports(snippet) == modules
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the source imports (anywhere, under the name they are bound to)
+    that it never names again and no ``__all__`` lists; ``from __future__``
+    imports are exempt."""
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported.setdefault(a.asname or a.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported.setdefault(a.asname or a.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        else:
+            used |= _exported(node)
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES + TEST_SOURCES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "import os",
+    "import os.path",
+    "from fractions import Fraction as F\nx = Fraction",
+    "from .exterior import DIM, KForm\nx = DIM",
+    "def f():\n    import json\n    return 1",
+    "import os\n__all__ = ['path']",
+    "from .exterior import KForm\nx = 'KForm'",
+])
+def test_unused_import_scan_catches(snippet):
+    assert unused_imports(snippet)
+
+
+@pytest.mark.parametrize("snippet", [
+    "from __future__ import annotations",
+    "import os.path\nos.getcwd()",
+    "from .exterior import KForm\n__all__ = ['KForm']",
+    "from fractions import Fraction as F\nx: F",
+    "import json\n\ndef f():\n    return json.dumps(1)",
+    "from .exterior import KForm\nclass A(KForm):\n    pass",
+])
+def test_unused_import_scan_allows_uses(snippet):
+    assert unused_imports(snippet) == []

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -653,6 +655,13 @@ class TestSerialization:
         f = KForm.from_json(data)
         assert coefficient(f, (2, 5, 6)) == Fraction(-1, 2)
         assert KForm.from_json(f.to_json()) == f
+
+    def test_kform_pickle_and_copy_round_trip(self):
+        f = KForm(3, {(1, 2, 7): 1, (2, 5, 6): Fraction(-1, 2)})
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert g == f
+            with pytest.raises(TypeError):
+                g.terms[(1, 2, 3)] = 1
 
     def test_kform_json_rejects_garbage(self):
         with pytest.raises(ValueError, match="malformed"):

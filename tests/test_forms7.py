@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -173,6 +174,14 @@ class TestCanonical:
         canonical(1)  # a cached int must not answer for a bool
         with pytest.raises(ValueError, match="orbit id must be 1..8"):
             canonical(orbit)
+
+    def test_cached_form_cannot_be_changed(self):
+        """canonical returns one cached object, so its terms are read-only."""
+        before = canonical(8).form.to_json()
+        with pytest.raises(TypeError):
+            canonical(8).form.terms[(1, 2, 3)] = 5
+        assert canonical(8).form.to_json() == before
+        assert coefficient(canonical(8).form, (1, 2, 3)) == 1
 
 
 class TestMultisymplectic:
@@ -398,11 +407,20 @@ class TestCompactDim:
         w = KForm(3)
         assert compact_dim(w) == reference_compact_dim(w) == 21
 
+    @pytest.mark.parametrize("orbit", range(1, 9))
+    def test_rational_pullbacks_match_reference(self, orbit):
+        """The joint-rank oracle on the first five of the pullbacks that
+        TestInvariantVector holds to the plain rank (~30 ms a form, so not
+        all 40)."""
+        for w in _rational_pullbacks(orbit, 5):
+            assert compact_dim(w) == reference_compact_dim(w)
+
 
 def _plain_invariants(w: KForm) -> tuple:
-    """The invariant vector field by field, one plain rank per system and no
-    minor: the contraction rank, stabilizer_dim and the compact rank here
-    rank the whole system, and the signature is read off the Fraction B."""
+    """The invariant vector field by field, then compact_dim, one plain rank
+    per system and no minor: the contraction rank, stabilizer_dim and the
+    compact rank here rank the whole system, and the signature is read off
+    the Fraction B."""
     restricted = [[row[a] - row[b] for a, b in _ANTISYMMETRIC_COLUMNS]
                   for row in _stabilizer_system(w)]
     p, n, _ = signature(b_form(w))
@@ -433,8 +451,8 @@ def _singular_pullbacks(count: int) -> list[KForm]:
 
 class TestInvariantVector:
     """invariant_vector answers from one pass, certifying full rank by square
-    minors where it can; these tests hold it to the plain ranks and pin which
-    eliminations it runs."""
+    minors where it can; these tests hold it and compact_dim to the plain
+    ranks and pin which eliminations they run."""
 
     @staticmethod
     def _spy(monkeypatch) -> list[tuple[int, int]]:
@@ -448,18 +466,20 @@ class TestInvariantVector:
         return shapes
 
     @staticmethod
-    def _check(w: KForm) -> InvariantVector:
-        iv = invariant_vector(w)
-        ms, sig, stab, compact = _plain_invariants(w)
-        assert (iv.ms_rank, iv.b_signature, iv.b_rank, iv.stab_dim, iv.compact_dim) == \
-            (ms, sig, sum(sig), stab, compact)
-        return iv
+    def _check(w: KForm) -> int:
+        """Holds invariant_vector(w) and compact_dim(w) to the plain ranks;
+        returns compact_dim(w)."""
+        iv, compact = invariant_vector(w), compact_dim(w)
+        ms, sig, stab, plain_compact = _plain_invariants(w)
+        assert (iv.ms_rank, iv.b_signature, iv.b_rank, iv.stab_dim, compact) == \
+            (ms, sig, sum(sig), stab, plain_compact)
+        return compact
 
     @pytest.mark.parametrize("orbit", range(1, 9))
     def test_rational_pullbacks_match_plain_ranks(self, orbit):
         found = [self._check(w) for w in _rational_pullbacks(orbit, 40)]
         # orbit 3 brings the rational forms with compact_dim > 0
-        assert {iv.compact_dim > 0 for iv in found} == {orbit == 3}
+        assert {compact > 0 for compact in found} == {orbit == 3}
 
     @pytest.mark.parametrize("orbit,variant", [(i, "standard") for i in range(1, 9)]
                              + [(i, "prime") for i in (2, 5, 6, 7)])
@@ -478,12 +498,12 @@ class TestInvariantVector:
         self._check(w)
 
     def test_corpus_takes_every_branch(self, monkeypatch):
-        """Each elimination sequence invariant_vector can run, seen on the
-        corpus: both minors certify; the compact minor falls back; the
-        open-orbit minor falls back; B of rank below 7 ranks the 7 x 7 minor
-        of C, then all of C only if that minor is singular (at the canonical
-        and singular forms), and the whole stabilizer system.  Only a B of
-        rank 7 skips the rank of C and tries the open-orbit minor."""
+        """Each elimination sequence invariant_vector can run, and no other,
+        seen on the corpus: the open-orbit minor certifies; it falls back;
+        B of rank below 7 ranks the 7 x 7 minor of C, then all of C only if
+        that minor is singular (at the canonical and singular forms), and the
+        whole stabilizer system.  Only a B of rank 7 skips the rank of C and
+        tries the open-orbit minor; nothing ranks the compact system."""
         shapes = self._spy(monkeypatch)
         seen = set()
         corpus = ([w for orbit in range(1, 9) for w in _rational_pullbacks(orbit, 2)]
@@ -493,25 +513,36 @@ class TestInvariantVector:
             full = invariant_vector(w).b_rank == DIM
             assert ((7, 7) not in shapes) == ((35, 35) in shapes) == full
             seen.add(tuple(shapes))
-        assert seen >= {
-            ((35, 35), (21, 21)),
-            ((35, 35), (35, 49), (21, 21), (35, 21)),
-            ((7, 7), (35, 49), (21, 21)),
-            ((7, 7), (35, 49), (21, 21), (35, 21)),
-            ((7, 7), (21, 7), (35, 49), (21, 21), (35, 21)),
+        assert seen == {
+            ((35, 35),),
+            ((35, 35), (35, 49)),
+            ((7, 7), (35, 49)),
+            ((7, 7), (21, 7), (35, 49)),
         }
 
     def test_open_orbit_pullback_needs_no_full_elimination(self, monkeypatch):
         shapes = self._spy(monkeypatch)
         iv = invariant_vector(_rational_pullbacks(8, 1)[0])
-        assert (iv.ms_rank, iv.stab_dim, iv.compact_dim) == (7, 14, 0)
-        assert shapes == [(35, 35), (21, 21)]
+        assert (iv.ms_rank, iv.stab_dim) == (7, 14)
+        assert shapes == [(35, 35)]
 
-    def test_canonical_orbit8_falls_back_to_both_full_eliminations(self, monkeypatch):
+    def test_canonical_orbit8_falls_back_to_the_full_elimination(self, monkeypatch):
         shapes = self._spy(monkeypatch)
         iv = invariant_vector(canonical(8).form)
-        assert (iv.stab_dim, iv.compact_dim) == (14, 14)
-        assert (35, 49) in shapes and (35, 21) in shapes
+        assert iv.stab_dim == 14
+        assert shapes == [(35, 35), (35, 49)]
+
+    def test_compact_dim_is_one_elimination(self, monkeypatch):
+        shapes = self._spy(monkeypatch)
+        assert compact_dim(canonical(3).form) == 9
+        assert shapes == [(35, 21)]
+
+    def test_fields_are_the_wire_fields(self):
+        """The dataclass holds exactly the orbit invariants to_json sends."""
+        names = [f.name for f in fields(InvariantVector)]
+        assert names == ["ms_rank", "b_rank", "b_signature", "stab_dim"]
+        wire = invariant_vector(canonical(5).form).to_json()
+        assert list(wire) == ["ms_rank", "b_rank", "b_sig", "stab_dim"]
 
     @pytest.mark.parametrize("orbit", [5, 8])
     def test_open_pivots_certify_rational_pullbacks(self, orbit):
@@ -536,7 +567,7 @@ class TestClassifier:
     def test_invariant_vector_of_orbit8(self):
         iv = invariant_vector(canonical(8).form)
         assert (iv.ms_rank, iv.b_rank, iv.b_signature, iv.stab_dim,
-                iv.compact_dim) == (7, 7, (7, 0), 14, 14)
+                compact_dim(canonical(8).form)) == (7, 7, (7, 0), 14, 14)
         assert iv.to_json() == {"ms_rank": 7, "b_rank": 7, "b_sig": [7, 0],
                                 "stab_dim": 14}
 

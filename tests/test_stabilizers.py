@@ -13,7 +13,7 @@ from msf7.algebras import (
     multiply,
     octonion_form_basis,
 )
-from msf7.exterior import KForm, LinearMap, pullback
+from msf7.exterior import KForm, LinearMap
 from msf7.forms7 import canonical, classify
 from msf7.stabilizers import (
     _sandwich_block,
