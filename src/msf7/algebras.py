@@ -1,8 +1,10 @@
 """Doubling construction and the concrete composition algebras.
 
-An :class:`AlgebraTable` stores structure constants, the conjugation matrix,
-the polarized norm form and the unit index, all over exact rationals.  Seven
-concrete algebras are built by :func:`build_algebra`:
+On the basis e_0, ..., e_(dim-1) of every algebra here the product is a
+signed permutation, e_i e_j = s e_k with s = +-1, and an
+:class:`AlgebraTable` stores just that.  e_0 is the unit, conjugation
+negates coordinates 1..dim-1 and the norm form is diagonal, so both are read
+off the table.  Seven concrete algebras are built by :func:`build_algebra`:
 
     R, C, H            -- the division tower (Cayley-Dickson doubling)
     Hsplit             -- split quaternions, realized by the 2x2 matrix model
@@ -33,9 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from itertools import combinations
+from typing import ClassVar
 
-from .exterior import KForm, LinearMap, SymmetricMatrix, polarize, scal
+from .exterior import KForm, LinearMap, scal
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -43,20 +47,24 @@ _F1 = Fraction(1)
 
 @dataclass(frozen=True)
 class AlgebraTable:
-    """Finite-dimensional algebra with conjugation and polarized norm form.
+    """Finite-dimensional algebra whose basis products are signed basis
+    elements: products[i][j] = (k, s) means e_i * e_j = s * e_k, s = +-1.
 
-    mult[i][j][k] is the e_k coefficient of e_i * e_j; conj is a dim x dim
-    matrix acting on coordinates; norm is the symmetric matrix of <x, y> with
-    x * conj(x) = <x, x> * unit.
+    e_0 is the unit, conjugation negates every other basis element, and
+    x * conj(x) = <x, x> * e_0 for the diagonal norm form ``norms``.
     """
 
     name: str
     dim: int
-    mult: tuple
-    conj: tuple
-    norm: SymmetricMatrix
-    unit_index: int
+    products: tuple
     labels: tuple
+    unit_index: ClassVar[int] = 0
+
+    @cached_property
+    def norms(self) -> tuple:
+        """<e_i, e_i> = +-1, as e_i conj(e_i) = -e_i e_i for i > 0."""
+        return tuple(row[i][1] if i == 0 else -row[i][1]
+                     for i, row in enumerate(self.products))
 
     def basis(self, i: int) -> "AlgebraElement":
         return AlgebraElement(self, tuple(_F1 if k == i else _F0 for k in range(self.dim)))
@@ -74,14 +82,18 @@ class AlgebraTable:
         return AlgebraElement(self, (_F0,) * self.dim)
 
     def to_json(self) -> dict:
+        """The dense form: structure constants, conjugation and norm matrices."""
+        def signed(k, s):
+            return ["0" if m != k else str(s) for m in range(self.dim)]
+
         return {
             "name": self.name,
             "dim": self.dim,
             "unit_index": self.unit_index,
             "labels": list(self.labels),
-            "mult": [[[str(c) for c in col] for col in row] for row in self.mult],
-            "conj": [[str(c) for c in row] for row in self.conj],
-            "norm": [[str(c) for c in row] for row in self.norm.rows],
+            "mult": [[signed(k, s) for k, s in row] for row in self.products],
+            "conj": [signed(i, 1 if i == 0 else -1) for i in range(self.dim)],
+            "norm": [signed(i, n) for i, n in enumerate(self.norms)],
         }
 
 
@@ -91,11 +103,11 @@ class AlgebraElement:
     coords: tuple
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+        _check(self.table, other)
         return AlgebraElement(self.table, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+        _check(self.table, other)
         return AlgebraElement(self.table, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "AlgebraElement":
@@ -108,38 +120,36 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self.table, self, other)
 
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.table is not other.table and self.table != other.table:
-            raise ValueError("elements belong to different algebras")
-
     def __repr__(self):
         parts = [f"{c}*{l}" for c, l in zip(self.coords, self.table.labels) if c]
         return f"<{self.table.name}: {' + '.join(parts) if parts else '0'}>"
 
 
-def multiply(t: AlgebraTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    for f in (x, y):
-        if f.table is not t and f.table != t:
+def _check(t: AlgebraTable, *elements: AlgebraElement) -> None:
+    for x in elements:
+        if x.table is not t and x.table != t:
             raise ValueError("elements belong to different algebras")
+
+
+def multiply(t: AlgebraTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    _check(t, x, y)
     out = [_F0] * t.dim
-    for i, xi in enumerate(x.coords):
+    ys = [(j, c) for j, c in enumerate(y.coords) if c]
+    for xi, row in zip(x.coords, t.products):
         if not xi:
             continue
-        mi = t.mult[i]
-        for j, yj in enumerate(y.coords):
-            if not yj:
-                continue
-            c = xi * yj
-            for k, m in enumerate(mi[j]):
-                if m:
-                    out[k] += c * m
+        for j, yj in ys:
+            k, s = row[j]
+            if s > 0:
+                out[k] += xi * yj
+            else:
+                out[k] -= xi * yj
     return AlgebraElement(t, tuple(out))
 
 
 def conjugate(t: AlgebraTable, x: AlgebraElement) -> AlgebraElement:
-    nonzero = [(j, c) for j, c in enumerate(x.coords) if c]
-    return AlgebraElement(t, tuple(sum((row[j] * c for j, c in nonzero), _F0)
-                                   for row in t.conj))
+    _check(t, x)
+    return AlgebraElement(t, (x.coords[0], *(-c for c in x.coords[1:])))
 
 
 def norm(t: AlgebraTable, x: AlgebraElement) -> Fraction:
@@ -148,11 +158,10 @@ def norm(t: AlgebraTable, x: AlgebraElement) -> Fraction:
 
 
 def inner(t: AlgebraTable, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-    """x^T N y for the norm matrix N, summing only the products whose three
-    factors are nonzero."""
-    ys = [(j, c) for j, c in enumerate(y.coords) if c]
-    return sum((xi * n * yj for xi, row in zip(x.coords, t.norm.rows) if xi
-                for j, yj in ys if (n := row[j])), _F0)
+    """sum <e_i, e_i> x_i y_i over the coordinates where both are nonzero."""
+    _check(t, x, y)
+    return sum((xi * yi if n > 0 else -(xi * yi)
+                for xi, yi, n in zip(x.coords, y.coords, t.norms) if xi and yi), _F0)
 
 
 def is_automorphism(t: AlgebraTable, g) -> bool:
@@ -163,58 +172,44 @@ def is_automorphism(t: AlgebraTable, g) -> bool:
     if len(rows) != dim or any(len(r) != dim for r in rows):
         return False
     images = [AlgebraElement(t, tuple(rows[i][j] for i in range(dim))) for j in range(dim)]
-    unit = t.unit()
-    gu = images[t.unit_index]
-    if gu.coords != unit.coords:
+    if images[t.unit_index].coords != t.unit().coords:
         return False
     for i in range(dim):
         for j in range(dim):
-            lhs_coords = multiply(t, t.basis(i), t.basis(j)).coords
-            lhs = t.zero()
-            for k, c in enumerate(lhs_coords):
-                if c:
-                    lhs += images[k].scale(c)
-            rhs = multiply(t, images[i], images[j])
-            if lhs.coords != rhs.coords:
+            k, s = t.products[i][j]
+            lhs = images[k] if s > 0 else -images[k]
+            if lhs.coords != multiply(t, images[i], images[j]).coords:
                 return False
     return True
 
 
 # --- construction -----------------------------------------------------------
 
-def _table_from_mult(name, dim, mult, conj, unit_index, labels) -> AlgebraTable:
-    """Assemble a table, deriving the polarized norm form, and validate it."""
-    t_probe = AlgebraTable(name, dim, mult, conj, SymmetricMatrix([[0] * dim] * dim),
-                           unit_index, labels)
+def _table(name: str, labels: tuple, coords) -> AlgebraTable:
+    """Read the table off coords(i, j), the coordinates of e_i e_j, and check
+    that e_0 is a two-sided unit, that x conj(x) is central and that
+    conjugation reverses products.  Checking on basis pairs is exact: each
+    law is bilinear, or the polarization of a quadratic one."""
+    def signed(i, j):
+        nonzero = [(k, c) for k, c in enumerate(coords(i, j)) if c]
+        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+            raise ValueError(f"{name}: {labels[i]} * {labels[j]} is not a signed "
+                             f"basis element")
+        return nonzero[0][0], int(nonzero[0][1])
 
-    def n_of(coords):
-        x = AlgebraElement(t_probe, coords)
-        xc = multiply(t_probe, x, conjugate(t_probe, x))
-        for k, c in enumerate(xc.coords):
-            if k != unit_index and c:
-                raise ValueError(f"{name}: x*conj(x) is not central on {coords}")
-        return xc.coords[unit_index]
-
-    table = AlgebraTable(name, dim, mult, conj, SymmetricMatrix(polarize(n_of, dim)),
-                         unit_index, labels)
-    _validate(table)
-    return table
-
-
-def _validate(t: AlgebraTable) -> None:
-    unit = t.unit()
-    for i in range(t.dim):
-        b = t.basis(i)
-        if multiply(t, unit, b).coords != b.coords or multiply(t, b, unit).coords != b.coords:
-            raise ValueError(f"{t.name}: unit is not a two-sided identity")
-        if conjugate(t, conjugate(t, b)).coords != b.coords:
-            raise ValueError(f"{t.name}: conjugation is not an involution")
-    for i in range(t.dim):
-        for j in range(t.dim):
-            lhs = conjugate(t, multiply(t, t.basis(i), t.basis(j)))
-            rhs = multiply(t, conjugate(t, t.basis(j)), conjugate(t, t.basis(i)))
-            if lhs.coords != rhs.coords:
-                raise ValueError(f"{t.name}: conjugation is not an anti-automorphism")
+    dim = len(labels)
+    t = AlgebraTable(name, dim, tuple(tuple(signed(i, j) for j in range(dim))
+                                      for i in range(dim)), labels)
+    if any(t.products[0][i] != (i, 1) or t.products[i][0] != (i, 1) for i in range(dim)):
+        raise ValueError(f"{name}: unit is not a two-sided identity")
+    for i in range(dim):
+        for j in range(dim):
+            ei, ej = t.basis(i), t.basis(j)
+            if any((ei * _bar(ej) + ej * _bar(ei)).coords[1:]):
+                raise ValueError(f"{name}: x*conj(x) is not central on {labels[i]}, {labels[j]}")
+            if _bar(ei * ej) != _bar(ej) * _bar(ei):
+                raise ValueError(f"{name}: conjugation is not an anti-automorphism")
+    return t
 
 
 def _bar(x: AlgebraElement) -> AlgebraElement:
@@ -235,23 +230,19 @@ def _double(base: AlgebraTable, name: str, product, label: str) -> AlgebraTable:
 
     The table is read off the product on the basis pairs (e_i, 0), (0, e_i);
     the doubled copy of base label l is label.format(l), "e" for the unit.
+    With the unit (e_0, 0), the conjugation is the one every table carries.
     """
     zero = base.zero()
     pairs = ([(base.basis(i), zero) for i in range(base.dim)]
              + [(zero, base.basis(i)) for i in range(base.dim)])
 
-    def coords(x, y):
+    def coords(i, j):
+        x, y = product(*pairs[i], *pairs[j])
         return x.coords + y.coords
 
-    mult = tuple(tuple(coords(*product(a, b, c, d)) for c, d in pairs) for a, b in pairs)
-    conj = tuple(zip(*(coords(_bar(a), -b) for a, b in pairs)))
     labels = tuple(base.labels) + tuple(label.format(l) if l != "1" else "e"
                                         for l in base.labels)
-    return _table_from_mult(name, 2 * base.dim, mult, conj, base.unit_index, labels)
-
-
-def _build_reals() -> AlgebraTable:
-    return _table_from_mult("R", 1, ((( _F1,),),), ((_F1,),), 0, ("1",))
+    return _table(name, labels, coords)
 
 
 def split_quaternion_coords(m) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -265,10 +256,8 @@ def _build_split_quaternions() -> AlgebraTable:
     # matrix model: i = [[0,1],[-1,0]], j = [[0,1],[1,0]], k = i j = [[1,0],[0,-1]]
     mats = [LinearMap(m) for m in (((1, 0), (0, 1)), ((0, 1), (-1, 0)),
                                    ((0, 1), (1, 0)), ((1, 0), (0, -1)))]
-    mult = tuple(tuple(split_quaternion_coords((x @ y).rows) for y in mats) for x in mats)
-    conj = ((_F1, _F0, _F0, _F0), (_F0, -_F1, _F0, _F0),
-            (_F0, _F0, -_F1, _F0), (_F0, _F0, _F0, -_F1))
-    return _table_from_mult("Hsplit", 4, mult, conj, 0, ("1", "i", "j", "k"))
+    return _table("Hsplit", ("1", "i", "j", "k"),
+                  lambda i, j: split_quaternion_coords((mats[i] @ mats[j]).rows))
 
 
 ALGEBRA_KINDS = ("R", "C", "H", "Hsplit", "O", "Osplit", "Osplit_from_Hsplit")
@@ -280,7 +269,7 @@ def build_algebra(kind: str) -> AlgebraTable:
     if kind not in ALGEBRA_KINDS:
         raise ValueError(f"unknown algebra kind {kind!r}; expected one of {ALGEBRA_KINDS}")
     if kind == "R":
-        return _build_reals()
+        return _table("R", ("1",), lambda i, j: (_F1,))
     if kind == "C":
         return _double(build_algebra("R"), "C", _cayley_dickson_product, "{}e")
     if kind == "H":
@@ -316,22 +305,12 @@ def triple_form(t: AlgebraTable, basis_map) -> KForm:
         for q in range(7):
             xy = multiply(t, basis[p], basis[q])
             for r in range(7):
-                vals[(p, q, r)] = inner(t, xy, basis[r])
+                vals[p, q, r] = inner(t, xy, basis[r])
     # alternation check over all argument positions
-    for p in range(7):
-        for q in range(7):
-            for r in range(7):
-                v = vals[(p, q, r)]
-                if vals[(q, p, r)] != -v or vals[(p, r, q)] != -v:
-                    raise ValueError("induced trilinear form is not alternating")
-    terms = {}
-    for p in range(7):
-        for q in range(p + 1, 7):
-            for r in range(q + 1, 7):
-                c = vals[(p, q, r)]
-                if c:
-                    terms[(p + 1, q + 1, r + 1)] = c
-    return KForm(3, terms)
+    if any(vals[q, p, r] != -v or vals[p, r, q] != -v for (p, q, r), v in vals.items()):
+        raise ValueError("induced trilinear form is not alternating")
+    return KForm(3, {(p + 1, q + 1, r + 1): vals[p, q, r]
+                     for p, q, r in combinations(range(7), 3)})
 
 
 # --- frozen imaginary bases ---------------------------------------------------

@@ -172,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=None,
                    help="random parameter draws per embedding "
                         "(default MSF7_FUZZ_ITERS or 10)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed in 0..2^64-1 (default 0)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify_paper)
 

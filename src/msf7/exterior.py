@@ -587,21 +587,6 @@ class SymmetricMatrix:
         return "SymmetricMatrix([" + ", ".join(str([str(x) for x in r]) for r in self.rows) + "])"
 
 
-def polarize(q, dim: int) -> list[list[Fraction]]:
-    """Symmetric matrix m_ij = (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 of the
-    quadratic form q, a callable on 0/1 integer coordinate tuples."""
-    def unit(*idx):
-        return tuple(1 if k in idx else 0 for k in range(dim))
-
-    diag = [Fraction(q(unit(i))) for i in range(dim)]
-    m = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        m[i][i] = diag[i]
-        for j in range(i + 1, dim):
-            m[i][j] = m[j][i] = (Fraction(q(unit(i, j))) - diag[i] - diag[j]) / 2
-    return m
-
-
 def signature(s: SymmetricMatrix | Sequence[Sequence[object]]) -> tuple[int, int, int]:
     """Exact (positive, negative, zero) inertia of a rational symmetric
     matrix: ``s`` is checked for symmetry, scaled by the lcm of its

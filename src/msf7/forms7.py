@@ -442,6 +442,11 @@ def random_invertible(rng: random.Random, spread: int = 3, max_tries: int = 100)
     raise RuntimeError("failed to draw an invertible matrix")
 
 
+def _check_seed(seed) -> None:
+    if type(seed) is not int or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer in 0..2^64-1, got {seed!r}")
+
+
 def sample_orbit(orbit_id: int, seed: int) -> tuple[KForm, LinearMap]:
     """Deterministic pseudorandom element of an orbit plus the witness map.
 
@@ -452,8 +457,7 @@ def sample_orbit(orbit_id: int, seed: int) -> tuple[KForm, LinearMap]:
     """
     if type(orbit_id) is not int or orbit_id not in ORBIT_IDS:
         raise ValueError(f"orbit id must be 1..8, got {orbit_id!r}")
-    if type(seed) is not int or not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an integer in 0..2^64-1, got {seed!r}")
+    _check_seed(seed)
     rng = random.Random(seed)
     g = random_invertible(rng)
     return pullback(g, canonical(orbit_id).form), g

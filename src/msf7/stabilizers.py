@@ -35,7 +35,7 @@ from .algebras import (
     split_quaternion_coords,
 )
 from .exterior import KForm, LinearMap, _scaled_pullback, pullback, scal, wedge
-from .forms7 import BASIS_MAP_6, BASIS_MAP_7, canonical, classify, compact_dim
+from .forms7 import BASIS_MAP_6, BASIS_MAP_7, _check_seed, canonical, classify, compact_dim
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -383,10 +383,12 @@ def verify_paper(draws: int = 10, seed: int = 0) -> list[dict]:
 
     Every entry carries an anchor and pass/fail status; the run is
     deterministic for a fixed seed and self-contained.  At least one draw is
-    required: with none, the embedding anchors would pass unchecked.
+    required: with none, the embedding anchors would pass unchecked.  The
+    seed must lie in 0..2^64-1, as for ``sample_orbit``.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
+    _check_seed(seed)
     report = identity_checks()
     rng = random.Random(seed)
 

@@ -10,17 +10,18 @@ Also the oracles only the tests call: the pair actions on doubled
 quaternions and the embeddings the package built from them before it read
 block-diagonal matrices off quaternion products, the 8x8 matrix of the SO(4)
 pair action, a span test for matrices, the norm-form signature of an
-algebra and the matrix transpose, the max-norm shell enumeration the
-topology search ran before it solved for the last coordinate, and the
-definite-functional bound it computed by polarizing the criterion before it
-read Gram matrices off the cup tensor.
+algebra and the matrix transpose, the dense structure-constant product the
+package ran before it stored one signed-permutation table per algebra, the
+max-norm shell enumeration the topology search ran before it solved for the
+last coordinate, and the definite-functional bound it computed by
+polarizing the criterion before it read Gram matrices off the cup tensor.
 
 Last, the definitions the package keeps out of ``src/`` because only the
 tests reach them: ``matrix_in_imaginary_basis``, which derives the stored
 orbit-5 change ``BASIS_MAP_5`` from the split octonions and reads back the
-reference embeddings, and the small accessors ``apply``, ``coefficient``,
-``scaling``, ``rotation_cs``, ``contraction_matrix`` and
-``_classifier_key``."""
+reference embeddings, the polarization ``polarize`` of a quadratic form, and
+the small accessors ``apply``, ``coefficient``, ``scaling``,
+``rotation_cs``, ``contraction_matrix`` and ``_classifier_key``."""
 
 from __future__ import annotations
 
@@ -40,10 +41,12 @@ from msf7.algebras import (
     _K,
     _ONE,
     _Z,
+    AlgebraElement,
     AlgebraTable,
     _pair,
     build_algebra,
     conjugate,
+    inner,
     norm,
     octonion_form_basis,
     split_quaternion_coords,
@@ -60,7 +63,6 @@ from msf7.exterior import (
     _sort_with_sign,
     _wedge_table,
     kernel,
-    polarize,
     rank,
     scal,
     signature,
@@ -405,13 +407,26 @@ def embed_so4_algebra_matrix(a, b, split: bool = False) -> list:
 def norm_signature(t: AlgebraTable, imaginary_only: bool = False) -> tuple[int, int, int]:
     """Signature of the norm form, optionally restricted to the orthogonal
     complement of the unit."""
+    gram = [[inner(t, t.basis(i), t.basis(j)) for j in range(t.dim)] for i in range(t.dim)]
     if not imaginary_only:
-        return signature(t.norm)
-    unit_row = [t.norm.rows[t.unit_index][j] for j in range(t.dim)]
-    comp = kernel([unit_row])
-    gram = [[sum(u[a] * t.norm.rows[a][b] * v[b] for a in range(t.dim) for b in range(t.dim))
-             for v in comp] for u in comp]
-    return signature(gram)
+        return signature(gram)
+    comp = kernel([gram[t.unit_index]])
+    return signature([[sum(u[a] * gram[a][b] * v[b] for a in range(t.dim) for b in range(t.dim))
+                       for v in comp] for u in comp])
+
+
+# The dense product the package ran before it stored one signed-permutation
+# table per algebra: the differential oracle of ``multiply``.
+def reference_multiply(t: AlgebraTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """x y from the structure constants mult[i][j][k], the e_k coefficient of
+    e_i e_j, as ``to_json`` writes them."""
+    mult = [[[Fraction(c) for c in col] for col in row] for row in t.to_json()["mult"]]
+    out = [Fraction(0)] * t.dim
+    for i, xi in enumerate(x.coords):
+        for j, yj in enumerate(y.coords):
+            for k, m in enumerate(mult[i][j]):
+                out[k] += xi * yj * m
+    return AlgebraElement(t, tuple(out))
 
 
 def _shell_vectors(dim: int, bound: int):
@@ -542,3 +557,18 @@ def _classifier_key(w: KForm) -> tuple:
     nonzero row of B is a multiple of l; the flag says whether l ^ w = 0.
     """
     return _key_data(w)[1]
+
+
+def polarize(q, dim: int) -> list[list[Fraction]]:
+    """Symmetric matrix m_ij = (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 of the
+    quadratic form q, a callable on 0/1 integer coordinate tuples."""
+    def unit(*idx):
+        return tuple(1 if k in idx else 0 for k in range(dim))
+
+    diag = [Fraction(q(unit(i))) for i in range(dim)]
+    m = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        m[i][i] = diag[i]
+        for j in range(i + 1, dim):
+            m[i][j] = m[j][i] = (Fraction(q(unit(i, j))) - diag[i] - diag[j]) / 2
+    return m

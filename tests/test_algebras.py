@@ -11,6 +11,7 @@ from msf7.algebras import (
     ALGEBRA_KINDS,
     build_algebra,
     conjugate,
+    inner,
     is_automorphism,
     multiply,
     norm,
@@ -23,7 +24,12 @@ from msf7.algebras import (
 from msf7.exterior import LinearMap, pullback
 from msf7.forms7 import BASIS_MAP_5, canonical
 
-from conftest import coefficient, matrix_in_imaginary_basis, norm_signature
+from conftest import (
+    coefficient,
+    matrix_in_imaginary_basis,
+    norm_signature,
+    reference_multiply,
+)
 
 
 def el(t, *coords):
@@ -90,6 +96,14 @@ class TestConstruction:
         H = build_algebra("H")
         with pytest.raises(ValueError, match="not central"):
             _double(H, "broken", reversed_product, "{}e")
+
+    def test_product_off_the_signed_basis_is_rejected(self):
+        # (a, b)(c, d) = (2 a c, 0): e_0 e_0 = 2 e_0 has no place in the table
+        def doubled_product(a, b, c, d):
+            return (a * c).scale(2), a.table.zero()
+
+        with pytest.raises(ValueError, match="broken: .* is not a signed basis element"):
+            _double(build_algebra("C"), "broken", doubled_product, "{}e")
 
 
 class TestAlgebraLaws:
@@ -158,6 +172,31 @@ class TestAlgebraLaws:
             multiply(H, Hs.basis(2), Hs.basis(2))
         with pytest.raises(ValueError, match="different algebras"):
             multiply(H, H.basis(2), Hs.basis(2))
+        # Hsplit's j has split norm -1, so H's norm form must not read it
+        assert norm(Hs, Hs.basis(2)) == -1
+        for call in (lambda: conjugate(H, Hs.basis(2)),
+                     lambda: norm(H, Hs.basis(2)),
+                     lambda: inner(H, Hs.basis(2), H.basis(2)),
+                     lambda: inner(H, H.basis(2), Hs.basis(2))):
+            with pytest.raises(ValueError, match="different algebras"):
+                call()
+
+    @pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+    def test_multiply_matches_the_dense_product(self, kind):
+        """The signed-permutation product against the structure constants of
+        to_json, on a seeded corpus of sparse, dense and fractional pairs."""
+        rng = random.Random(f"multiply-{kind}")
+        t = build_algebra(kind)
+
+        def draw():
+            return t.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              if rng.random() < 0.6 else 0 for _ in range(t.dim)])
+
+        for _ in range(60):
+            x, y = draw(), draw()
+            got = multiply(t, x, y)
+            assert got == reference_multiply(t, x, y)
+            assert all(type(c) is Fraction for c in got.coords)
 
 
 class TestTripleForm:

@@ -213,6 +213,18 @@ class TestVerifyPaper:
         code, out, err = run(capsys, "verify-paper", "--draws", draws)
         assert code == 2 and out == "" and "error: draws must be at least 1" in err
 
+    @pytest.mark.parametrize("seed", ["0", str(2 ** 64 - 1)])
+    def test_seed_range_ends_accepted(self, capsys, seed):
+        code, out, _ = run(capsys, "verify-paper", "--draws", "1", "--seed", seed)
+        assert code == 0 and "all checks passed" in out
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_out_of_range_exits_2(self, capsys, seed):
+        # -3 used to print the seed-3 report, as Random(-3) == Random(3)
+        code, out, err = run(capsys, "verify-paper", "--draws", "1", "--seed", seed)
+        assert code == 2 and out == ""
+        assert "seed must be an integer in 0..2^64-1" in err
+
 
 class TestTopoCheck:
     def test_projective_circle_type4(self, capsys):

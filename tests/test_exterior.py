@@ -26,7 +26,6 @@ from msf7.exterior import (
     basis_vector,
     interior,
     kernel,
-    polarize,
     pullback,
     rank,
     scal,
@@ -54,6 +53,7 @@ from conftest import (
     invertible_maps,
     kforms,
     linear_maps,
+    polarize,
     rational_invertible,
     reference_echelon,
     reference_signature,
